@@ -42,6 +42,7 @@ from .simulator import (
     empirical_metrics,
     generate_instance,
     round_count,
+    run_grid,
     run_trials,
     solve_lasso,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "generate_instance",
     "solve_lasso",
     "empirical_metrics",
+    "run_grid",
     "run_trials",
 ]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .predictor import ModelConfig, NonConvergenceError, predict_report
 from .prior import sparse_bernoulli
-from .simulator import run_trials
+from .simulator import run_grid
 
 __all__ = [
     "SweepSpec",
@@ -192,7 +192,11 @@ def parse_args(argv: list[str]) -> SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Compute one row per lambda, in grid order; deterministic for a fixed spec."""
+    """Compute one row per lambda, in grid order; deterministic for a fixed spec.
+
+    The Monte Carlo columns of all rows come from one `run_grid` call, which
+    draws each trial's instance once for the whole grid.
+    """
     prior = sparse_bernoulli(spec.kappa)
     rows = []
     for lam in spec.lambda_grid:
@@ -210,20 +214,24 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                 row["mse_theory"] = report.mse
                 row["phi_on_theory"] = report.phi_on
                 row["phi_off_theory"] = report.phi_off
-            if spec.mode in ("simulate", "both"):
-                emp = run_trials(
-                    cfg, prior, spec.n, spec.trials, spec.xi, spec.seed
-                )
-                row["mse_emp_mean"] = emp.mean_mse
-                row["mse_emp_se"] = emp.se_mse
-                row["phi_on_emp_mean"] = emp.mean_phi_on
-                row["phi_on_emp_se"] = emp.se_phi_on
-                row["phi_off_emp_mean"] = emp.mean_phi_off
-                row["phi_off_emp_se"] = emp.se_phi_off
-                row["nonconverged_trials"] = emp.nonconverged_trials
         except (ValueError, NonConvergenceError, RuntimeError) as exc:
             raise ComputationError(f"lambda={lam:g}: {exc}") from exc
         rows.append(row)
+    if spec.mode in ("simulate", "both"):
+        grid = spec.lambda_grid
+        try:
+            # instances do not depend on lambda: any cell's cfg describes them
+            reports = run_grid(cfg, prior, spec.n, spec.trials, spec.xi, spec.seed, grid)
+        except (ValueError, RuntimeError) as exc:
+            raise ComputationError(f"lambda={grid[0]:g}..{grid[-1]:g}: {exc}") from exc
+        for row, emp in zip(rows, reports):
+            row["mse_emp_mean"] = emp.mean_mse
+            row["mse_emp_se"] = emp.se_mse
+            row["phi_on_emp_mean"] = emp.mean_phi_on
+            row["phi_on_emp_se"] = emp.se_phi_on
+            row["phi_off_emp_mean"] = emp.mean_phi_off
+            row["phi_off_emp_se"] = emp.se_phi_off
+            row["nonconverged_trials"] = emp.nonconverged_trials
     return rows
 
 

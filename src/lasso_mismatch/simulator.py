@@ -3,9 +3,18 @@
 Instances follow the generative model y = H x0 + z where only a noisy version
 A = gamma H + eps Omega of the measurement matrix is available to the solver.
 The LASSO (1/2)||y - A x||^2 + lam ||x||_1 is solved by accelerated proximal
-gradient with adaptive restart.  Trials use deterministically derived
-per-trial random substreams, so results are reproducible bit for bit
-regardless of execution order or worker count.
+gradient with adaptive restart (FISTA).  Its step is certified by
+Beck-Teboulle backtracking from a power-iteration estimate of ||A||_2^2, it
+carries A x and A w so an iteration costs two matrix-vector products, and
+once the sign pattern of the iterate settles it tries the exact solution on
+that pattern, returned only if it passes the KKT gate.
+
+The Monte Carlo loop runs over trials first, then over lambda: instances do
+not depend on lambda, so each trial draws its instance once, from a
+deterministically derived per-trial random substream, and solves the whole
+lambda grid on it with independent (not warm-started) solves.  Results are
+reproducible bit for bit regardless of grid, execution order or worker
+count.
 """
 
 from __future__ import annotations
@@ -28,10 +37,9 @@ __all__ = [
     "generate_instance",
     "solve_lasso",
     "empirical_metrics",
+    "run_grid",
     "run_trials",
 ]
-
-_ASSEMBLY_TOL = 1e-12
 
 
 def round_count(x: float) -> int:
@@ -52,10 +60,13 @@ class Instance:
 
 @dataclass(frozen=True)
 class LassoResult:
+    """Solution, iteration count, KKT residual, and the final step constant L."""
+
     x_hat: np.ndarray
     iters: int
     kkt_residual: float
     converged: bool
+    lipschitz: float
 
 
 @dataclass(frozen=True)
@@ -112,19 +123,18 @@ def generate_instance(
     omega = rng.normal(0.0, scale, size=(m, n))
     z = rng.normal(0.0, math.sqrt(cfg.sigma_z2), size=m)
 
-    eps = math.sqrt(cfg.eps2)
-    A = cfg.gamma * H + eps * omega
+    A = cfg.gamma * H + math.sqrt(cfg.eps2) * omega
     y = H @ x0 + z
-
-    if np.max(np.abs(A - (cfg.gamma * H + eps * omega))) > _ASSEMBLY_TOL:
-        raise RuntimeError("instance assembly violated A = gamma*H + eps*Omega")
-    if np.max(np.abs(y - (H @ x0 + z))) > _ASSEMBLY_TOL:
-        raise RuntimeError("instance assembly violated y = H*x0 + z")
     return Instance(x0=x0, H=H, A=A, y=y, support=support)
 
 
 def _spectral_norm_sq(A: np.ndarray) -> float:
-    """Largest singular value squared, by power iteration on A^T A."""
+    """Estimate of the largest squared singular value, by power iteration on A^T A.
+
+    The estimate is a lower bound that may fall short of ||A||_2^2, and it
+    is 0 when the flat start vector lies in the null space of A; the step
+    size is certified by backtracking in `solve_lasso`, not by this value.
+    """
     n = A.shape[1]
     v = np.full(n, 1.0 / math.sqrt(n))
     s = 0.0
@@ -141,13 +151,45 @@ def _spectral_norm_sq(A: np.ndarray) -> float:
     return s
 
 
-def _kkt_residual(A: np.ndarray, y: np.ndarray, x: np.ndarray, lam: float) -> float:
-    g = A.T @ (A @ x - y)
+def _kkt_residual(g: np.ndarray, x: np.ndarray, lam: float) -> float:
+    """Violation of the LASSO optimality conditions at x, given g = A^T (A x - y)."""
     zero = x == 0.0
     r_zero = float(np.max(np.maximum(np.abs(g[zero]) - lam, 0.0))) if zero.any() else 0.0
     active = ~zero
     r_active = float(np.max(np.abs(g[active] + lam * np.sign(x[active])))) if active.any() else 0.0
     return max(r_zero, r_active)
+
+
+# iterations with an unchanged sign pattern before the exact solve on it is tried
+_POLISH_AFTER = 5
+# steps below this share of the iterate's norm are within rounding of A d
+_STEP_FLOOR = 1e-12
+
+
+def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
+            kkt_gate: float) -> tuple[np.ndarray, float] | None:
+    """Exact LASSO solution for the sign pattern `signs`, if it is the optimum.
+
+    Solves the normal equations A_S^T A_S x_S = A_S^T y - lam s_S on the
+    support S of `signs`.  The candidate is returned with its KKT residual
+    only if its signs equal `signs` on S (a cheap early exit) and the
+    residual, which certifies it, is within kkt_gate; otherwise None.
+    """
+    support = np.flatnonzero(signs)
+    if support.size >= A.shape[0]:
+        return None
+    s = signs[support]
+    A_s = A[:, support]
+    try:
+        x_s = np.linalg.solve(A_s.T @ A_s, A_s.T @ y - lam * s)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.array_equal(np.sign(x_s), s):
+        return None
+    x = np.zeros(A.shape[1])
+    x[support] = x_s
+    kkt = _kkt_residual(A.T @ (A_s @ x_s - y), x, lam)
+    return (x, kkt) if kkt <= kkt_gate else None
 
 
 def solve_lasso(
@@ -156,56 +198,100 @@ def solve_lasso(
     lam: float,
     tol: float = 1e-10,
     max_iter: int = 20000,
+    lipschitz: float | None = None,
 ) -> LassoResult:
     """Minimize (1/2)||y - A x||^2 + lam ||x||_1 by accelerated proximal gradient.
 
-    Step size 1/L with L the squared spectral norm from power iteration; the
-    proximal map is soft thresholding at lam/L.  Iterations stop once the
-    relative objective change falls below tol and the KKT residual is within
-    10*tol*lam; hitting max_iter with a larger residual flags the result as
-    non-converged (it is still returned).
+    The step is 1/L, and the proximal map is soft thresholding at lam/L.
+    L starts from `lipschitz`, or from a power-iteration estimate of
+    ||A||_2^2 when it is None, and is doubled whenever the Beck-Teboulle
+    sufficient-decrease test fails, so every accepted step is certified;
+    it never exceeds ||A||_F^2, which bounds ||A||_2^2 from above.
+    The products A x and A w are carried through the iterations, so an
+    iteration costs two matrix-vector products.  Once the sign pattern of
+    the iterate has held for a few iterations, the exact solution on that
+    pattern is tried and returned if it passes the KKT gate.  Iterations
+    stop once the relative objective change falls below tol and the KKT
+    residual is within 10*tol*lam; hitting max_iter with a larger residual
+    flags the result as non-converged (it is still returned).
     """
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
     m, n = A.shape
     if y.shape != (m,):
         raise ValueError(f"y has shape {y.shape}, expected ({m},)")
-    L = _spectral_norm_sq(A)
-    if L == 0.0:
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
+    if not A.any():
         raise ValueError("measurement matrix is identically zero")
-
-    def objective(x: np.ndarray) -> float:
-        r = y - A @ x
-        return 0.5 * float(r @ r) + lam * float(np.abs(x).sum())
+    col_sq = np.einsum("ij,ij->j", A, A)
+    # ||A||_F^2 >= ||A||_2^2, so backtracking never needs L above it
+    L_max = float(col_sq.sum())
+    if not math.isfinite(L_max):
+        raise ValueError("measurement matrix must be finite")
+    L = _spectral_norm_sq(A) if lipschitz is None else lipschitz
+    if not L > 0.0:
+        # a start below ||A||_2^2 is corrected by backtracking; the largest
+        # squared column norm is one, and it is positive for nonzero A
+        L = float(col_sq.max())
+    L = min(L, L_max)
 
     kkt_gate = 10.0 * tol * lam
     x = np.zeros(n)
-    w = x
+    Ax = np.zeros(m)
+    w, Aw = x, Ax
     t = 1.0
-    f_prev = objective(x)
+    f_prev = 0.5 * float(y @ y)
+    signs = np.zeros(n)
+    stable = 0
     kkt = math.inf
     iters = 0
     for k in range(1, max_iter + 1):
         iters = k
-        grad = A.T @ (A @ w - y)
-        step = w - grad / L
-        x_new = np.sign(step) * np.maximum(np.abs(step) - lam / L, 0.0)
+        grad = A.T @ (Aw - y)
+        while True:
+            step = w - grad / L
+            x_new = np.sign(step) * np.maximum(np.abs(step) - lam / L, 0.0)
+            Ax_new = A @ x_new
+            # sufficient decrease f(x_new) <= f(w) + grad.d + (L/2)|d|^2 of the
+            # quadratic part f, which is exactly |A d|^2 <= L |d|^2.  A d is a
+            # difference of carried products, so |d| is floored at the
+            # rounding level of the iterate; otherwise rounding alone would
+            # keep doubling L once the iterates settle.
+            d = x_new - w
+            Ad = Ax_new - Aw
+            dd = max(float(d @ d), _STEP_FLOOR**2 * float(x_new @ x_new))
+            if float(Ad @ Ad) <= L * dd or L >= L_max:
+                break
+            L = min(2.0 * L, L_max)
+        dx = x_new - x
         # adaptive restart: drop momentum when it points uphill
-        if float((w - x_new) @ (x_new - x)) > 0.0:
+        if float(d @ dx) < 0.0:
             t = 1.0
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        w = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        f = objective(x_new)
+        c = (t - 1.0) / t_new
+        w = x_new + c * dx
+        Aw = Ax_new + c * (Ax_new - Ax)
+        r = Ax_new - y
+        f = 0.5 * float(r @ r) + lam * float(np.abs(x_new).sum())
         small_change = abs(f_prev - f) <= tol * max(1.0, abs(f))
-        x, t, f_prev = x_new, t_new, f
+        signs_new = np.sign(x_new)
+        stable = 0 if (signs_new != signs).any() else stable + 1
+        x, Ax, t, f_prev, signs = x_new, Ax_new, t_new, f, signs_new
         if small_change:
-            kkt = _kkt_residual(A, y, x, lam)
+            kkt = _kkt_residual(A.T @ r, x, lam)
             if kkt <= kkt_gate:
                 break
+        if stable == _POLISH_AFTER:
+            polished = _polish(A, y, lam, signs, kkt_gate)
+            if polished is not None:
+                return LassoResult(x_hat=polished[0], iters=iters, kkt_residual=polished[1],
+                                   converged=True, lipschitz=L)
     if not math.isfinite(kkt) or iters == max_iter:
-        kkt = _kkt_residual(A, y, x, lam)
-    converged = not (iters == max_iter and kkt > kkt_gate)
-    return LassoResult(x_hat=x, iters=iters, kkt_residual=kkt, converged=converged)
+        kkt = _kkt_residual(A.T @ (Ax - y), x, lam)
+    converged = iters < max_iter or kkt <= kkt_gate
+    return LassoResult(x_hat=x, iters=iters, kkt_residual=kkt, converged=converged,
+                       lipschitz=L)
 
 
 def empirical_metrics(
@@ -239,18 +325,79 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _run_one(cfg: ModelConfig, p: Prior, n: int, xi: float, seed: int, index: int,
-             tol: float, max_iter: int) -> TrialResult:
-    rng = _trial_rng(seed, index)
-    inst = generate_instance(cfg, p, n, rng)
-    result = solve_lasso(inst.A, inst.y, cfg.lam, tol=tol, max_iter=max_iter)
-    return empirical_metrics(result.x_hat, inst, xi, solver=result)
+def _run_trial(cfg: ModelConfig, p: Prior, n: int, xi: float, seed: int, index: int,
+               lambdas: tuple[float, ...], tol: float, max_iter: int) -> list[TrialResult]:
+    """One trial's instance, solved at every lambda; the instance dies on return."""
+    inst = generate_instance(cfg, p, n, _trial_rng(seed, index))
+    L = _spectral_norm_sq(inst.A)
+    results = []
+    for lam in lambdas:
+        res = solve_lasso(inst.A, inst.y, lam, tol=tol, max_iter=max_iter, lipschitz=L)
+        results.append(empirical_metrics(res.x_hat, inst, xi, solver=res))
+    return results
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
     return mean, se
+
+
+def _report(results: list[TrialResult], n: int, seed: int) -> EmpiricalReport:
+    mean_mse, se_mse = _mean_se(np.array([t.mse for t in results]))
+    mean_on, se_on = _mean_se(np.array([t.phi_on for t in results]))
+    mean_off, se_off = _mean_se(np.array([t.phi_off for t in results]))
+    return EmpiricalReport(
+        trials=tuple(results),
+        mean_mse=mean_mse,
+        se_mse=se_mse,
+        mean_phi_on=mean_on,
+        se_phi_on=se_on,
+        mean_phi_off=mean_off,
+        se_phi_off=se_off,
+        n=n,
+        seed=seed,
+    )
+
+
+def run_grid(
+    cfg: ModelConfig,
+    p: Prior,
+    n: int,
+    trials: int,
+    xi: float,
+    seed: int,
+    lambdas: tuple[float, ...],
+    workers: int = 1,
+    tol: float = 1e-10,
+    max_iter: int = 20000,
+) -> tuple[EmpiricalReport, ...]:
+    """Run independent trials over a lambda grid; one report per lambda, in order.
+
+    Instances do not depend on lambda (cfg.lam is not used), so each trial
+    draws its instance once, from a random substream derived from (seed,
+    trial index), and solves every lambda on it.  Each solve is independent
+    of the others, so a report is identical for any grid that contains its
+    lambda, any worker count and any execution order.  Non-converged solver
+    runs are recorded, not dropped.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    lambdas = tuple(lambdas)
+    if not lambdas or min(lambdas) <= 0.0:
+        raise ValueError(f"lambdas must be a nonempty list of positive values, got {lambdas}")
+
+    def trial(i: int) -> list[TrialResult]:
+        return _run_trial(cfg, p, n, xi, seed, i, lambdas, tol, max_iter)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_trial = list(pool.map(trial, range(trials)))
+    else:
+        per_trial = [trial(i) for i in range(trials)]
+    return tuple(_report([row[j] for row in per_trial], n, seed) for j in range(len(lambdas)))
 
 
 def run_trials(
@@ -264,41 +411,9 @@ def run_trials(
     tol: float = 1e-10,
     max_iter: int = 20000,
 ) -> EmpiricalReport:
-    """Run independent trials and aggregate means and standard errors.
+    """Run independent trials at cfg.lam and aggregate means and standard errors.
 
-    Each trial owns a random substream derived from (seed, trial index), so
-    the report is identical for any worker count or execution order.
-    Non-converged solver runs are recorded, not dropped.
+    The one-lambda case of `run_grid`: the report equals, bit for bit, the
+    cell of cfg.lam in any grid run with the same arguments.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda i: _run_one(cfg, p, n, xi, seed, i, tol, max_iter),
-                    range(trials),
-                )
-            )
-    else:
-        results = [_run_one(cfg, p, n, xi, seed, i, tol, max_iter) for i in range(trials)]
-
-    mse = np.array([t.mse for t in results])
-    on = np.array([t.phi_on for t in results])
-    off = np.array([t.phi_off for t in results])
-    mean_mse, se_mse = _mean_se(mse)
-    mean_on, se_on = _mean_se(on)
-    mean_off, se_off = _mean_se(off)
-    return EmpiricalReport(
-        trials=tuple(results),
-        mean_mse=mean_mse,
-        se_mse=se_mse,
-        mean_phi_on=mean_on,
-        se_phi_on=se_on,
-        mean_phi_off=mean_off,
-        se_phi_off=se_off,
-        n=n,
-        seed=seed,
-    )
+    return run_grid(cfg, p, n, trials, xi, seed, (cfg.lam,), workers, tol, max_iter)[0]

@@ -181,6 +181,20 @@ class TestRunSweep:
         with pytest.raises(ComputationError, match="lambda=1.201"):
             run_sweep(spec)
 
+    def test_simulation_failure_names_grid(self, monkeypatch):
+        import lasso_mismatch.cli as cli_mod
+
+        def boom(*args, **kwargs):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(cli_mod, "run_grid", boom)
+        spec = parse_args(
+            "--delta 0.8 --kappa 0.1 --eps2 0.1 --snr 0.5 --lambda-list 0.5,1.201 "
+            "--mode simulate --n 32 --trials 2".split()
+        )
+        with pytest.raises(ComputationError, match=r"lambda=0.5\.\.1.201: synthetic"):
+            run_sweep(spec)
+
     def test_spec_validation_direct(self):
         with pytest.raises(UsageError):
             SweepSpec(

@@ -1,18 +1,23 @@
 """Simulator tests: instance structure, solver correctness against trivial
-cases and a coordinate-descent oracle, metric counting, and determinism."""
+cases and a coordinate-descent oracle, step certification, the exact solve on
+the identified support, metric counting, the trial-first lambda grid, and
+determinism."""
 
 import math
 
 import numpy as np
 import pytest
 
+from lasso_mismatch import cli, simulator
 from lasso_mismatch.predictor import ModelConfig, predict_mse, solve_scalar
 from lasso_mismatch.prior import sparse_bernoulli
 from lasso_mismatch.simulator import (
     Instance,
+    _spectral_norm_sq,
     empirical_metrics,
     generate_instance,
     round_count,
+    run_grid,
     run_trials,
     solve_lasso,
 )
@@ -20,6 +25,11 @@ from oracles import cd_lasso
 
 CFG = ModelConfig(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=1.201)
 PRIOR = sparse_bernoulli(0.1)
+
+
+def lasso_objective(A, y, lam, x):
+    r = y - A @ x
+    return 0.5 * float(r @ r) + lam * float(np.abs(x).sum())
 
 
 class TestGenerateInstance:
@@ -91,14 +101,9 @@ class TestSolveLasso:
         x[rng.choice(40, 4, replace=False)] = rng.normal(0, 1, 4)
         y = A @ x + 0.05 * rng.normal(0, 1, 20)
         lam = 0.05
-
-        def obj(v):
-            r = y - A @ v
-            return 0.5 * r @ r + lam * np.abs(v).sum()
-
         ours = solve_lasso(A, y, lam)
         reference = cd_lasso(A, y, lam)
-        assert obj(ours.x_hat) <= obj(reference) + 1e-8
+        assert lasso_objective(A, y, lam, ours.x_hat) <= lasso_objective(A, y, lam, reference) + 1e-8
 
     def test_kkt_residual_quality(self):
         rng = np.random.default_rng(5)
@@ -117,6 +122,106 @@ class TestSolveLasso:
             solve_lasso(np.eye(4), np.zeros(4), 0.0)
         with pytest.raises(ValueError):
             solve_lasso(np.eye(4), np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match="identically zero"):
+            solve_lasso(np.zeros((3, 4)), np.ones(3), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            solve_lasso(np.eye(4), np.array([1.0, np.nan, 0.0, 0.0]), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            solve_lasso(np.diag([1.0, np.inf, 1.0, 1.0]), np.ones(4), 1.0)
+
+
+class TestStepCertification:
+    def test_power_iteration_blind_spot(self):
+        # the flat start vector is in the null space of A, so the power
+        # iteration reads 0 although ||A||_2^2 = 10
+        A = np.array([[1.0, -1.0], [2.0, -2.0]])
+        assert _spectral_norm_sq(A) == 0.0
+        y = np.array([1.0, 0.5])
+        lam = 0.3
+        res = solve_lasso(A, y, lam)
+        assert res.converged
+        assert res.kkt_residual <= 10 * 1e-10 * lam
+        assert res.lipschitz <= 2 * 10.0
+        ref = lasso_objective(A, y, lam, cd_lasso(A, y, lam))
+        assert lasso_objective(A, y, lam, res.x_hat) == pytest.approx(ref, abs=1e-8)
+
+    def test_underestimated_lipschitz_constant(self):
+        # find a Gaussian draw whose power-iteration estimate falls well short
+        # of ||A||_2^2, so a plain 1/estimate step would overshoot 1/L
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            A = rng.normal(0.0, 1.0, (51, 64)) / 8.0
+            if _spectral_norm_sq(A) < 0.95 * np.linalg.norm(A, 2) ** 2:
+                break
+        else:
+            pytest.fail("no draw with an underestimated spectral norm")
+        x0 = np.zeros(64)
+        x0[rng.choice(64, 6, replace=False)] = 1.0
+        y = A @ x0 + 0.1 * rng.normal(0.0, 1.0, 51)
+        lam = 0.05
+        ref = lasso_objective(A, y, lam, cd_lasso(A, y, lam))
+        exact = np.linalg.norm(A, 2) ** 2
+        # from the estimate, and from a start a thousand times too small,
+        # which diverges unless backtracking raises it
+        for start in (None, 1e-3 * exact):
+            res = solve_lasso(A, y, lam, lipschitz=start)
+            assert res.converged
+            assert res.kkt_residual <= 10 * 1e-10 * lam
+            # L only doubles past a quotient |A d|^2/|d|^2 <= ||A||_2^2
+            assert res.lipschitz <= 2 * exact
+            assert lasso_objective(A, y, lam, res.x_hat) == pytest.approx(ref, abs=1e-8)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rounding_level_steps_do_not_inflate_the_step_constant(self, seed):
+        # at a tiny lambda on a badly scaled square system the iterates settle
+        # to within rounding long before the KKT gate is met; A d then is all
+        # rounding and must not be read as a failed decrease test
+        rng = np.random.default_rng(seed)
+        A = 20.0 * rng.normal(size=(68, 67))
+        y = 80.0 * rng.normal(size=68)
+        lam = 1e-6 * float(np.max(np.abs(A.T @ y)))
+        res = solve_lasso(A, y, lam, max_iter=2000)
+        assert res.lipschitz <= 2 * np.linalg.norm(A, 2) ** 2
+
+
+class TestPolish:
+    def test_polished_result_is_certified(self, monkeypatch):
+        returned = []
+        polish = simulator._polish
+
+        def spy(*args):
+            out = polish(*args)
+            if out is not None:
+                returned.append(out)
+            return out
+
+        monkeypatch.setattr(simulator, "_polish", spy)
+        rng = np.random.default_rng(11)
+        cfg = CFG.with_lam(0.05)
+        inst = generate_instance(cfg, PRIOR, 64, rng)
+        res = solve_lasso(inst.A, inst.y, cfg.lam)
+        assert returned, "the exact solve on the support was never accepted"
+        assert res.x_hat is returned[-1][0]
+        assert res.converged
+        assert res.kkt_residual <= 10 * 1e-10 * cfg.lam
+        ref = lasso_objective(inst.A, inst.y, cfg.lam, cd_lasso(inst.A, inst.y, cfg.lam))
+        ours = lasso_objective(inst.A, inst.y, cfg.lam, res.x_hat)
+        assert ours == pytest.approx(ref, abs=1e-8)
+
+    def test_wrong_pattern_is_rejected(self):
+        rng = np.random.default_rng(12)
+        cfg = CFG.with_lam(0.3)
+        inst = generate_instance(cfg, PRIOR, 64, rng)
+        gate = 10 * 1e-10 * cfg.lam
+        signs = np.sign(cd_lasso(inst.A, inst.y, cfg.lam))
+        active = np.flatnonzero(signs)
+        assert simulator._polish(inst.A, inst.y, cfg.lam, signs, gate) is not None
+        dropped = signs.copy()
+        dropped[active[np.argmax(np.abs(inst.A[:, active].T @ inst.y))]] = 0.0
+        flipped = signs.copy()
+        flipped[active[0]] *= -1.0
+        for wrong in (dropped, flipped):
+            assert simulator._polish(inst.A, inst.y, cfg.lam, wrong, gate) is None
 
 
 class TestEmpiricalMetrics:
@@ -206,6 +311,41 @@ class TestRunTrials:
             run_trials(CFG, PRIOR, n=64, trials=0, xi=1e-3, seed=0)
         with pytest.raises(ValueError):
             run_trials(CFG, PRIOR, n=64, trials=1, xi=1e-3, seed=-1)
+
+
+class TestRunGrid:
+    GRID = (0.05, 0.41, 1.201)
+
+    def test_cells_match_run_trials(self):
+        reports = run_grid(CFG, PRIOR, n=64, trials=5, xi=1e-3, seed=21, lambdas=self.GRID)
+        assert len(reports) == len(self.GRID)
+        for lam, cell in zip(self.GRID, reports):
+            alone = run_trials(CFG.with_lam(lam), PRIOR, n=64, trials=5, xi=1e-3, seed=21)
+            assert cell.mean_mse == pytest.approx(alone.mean_mse, abs=1e-9)
+            assert [(t.phi_on, t.phi_off) for t in cell.trials] == [
+                (t.phi_on, t.phi_off) for t in alone.trials]
+
+    def test_one_lambda_sweep_row_equals_grid_row(self):
+        base = "--delta 0.8 --kappa 0.1 --eps2 0.2 --snr 0.5 --mode simulate --n 64 --trials 4"
+        one = cli.run_sweep(cli.parse_args((base + " --lambda-list 0.41").split()))
+        grid = cli.run_sweep(cli.parse_args((base + " --lambda-list 0.01,0.41,1.21").split()))
+        assert one[0] == grid[1]
+
+    def test_instance_generated_once_per_trial(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return generate_instance(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "generate_instance", counting)
+        run_grid(CFG, PRIOR, n=64, trials=4, xi=1e-3, seed=2, lambdas=self.GRID)
+        assert len(calls) == 4
+
+    def test_validation(self):
+        for bad in ((), (0.5, 0.0)):
+            with pytest.raises(ValueError):
+                run_grid(CFG, PRIOR, n=64, trials=1, xi=1e-3, seed=0, lambdas=bad)
 
 
 class TestConvergenceInProblemSize:
