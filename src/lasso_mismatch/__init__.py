@@ -6,7 +6,6 @@ accelerated proximal-gradient LASSO solver, and seeded Monte Carlo trials.
 """
 
 from .kernels import (
-    GaussMoment,
     gauss_expect_e,
     gauss_expect_eta,
     q_function,
@@ -48,7 +47,6 @@ from .simulator import (
 )
 
 __all__ = [
-    "GaussMoment",
     "soft_threshold",
     "soft_threshold_value",
     "std_normal_pdf",

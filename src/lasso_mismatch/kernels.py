@@ -22,10 +22,8 @@ against an adaptive-quadrature oracle in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "GaussMoment",
     "soft_threshold",
     "soft_threshold_value",
     "std_normal_pdf",
@@ -74,52 +72,50 @@ def soft_threshold_value(a: float, t: float) -> float:
     return 0.5 * a * a
 
 
+def _pdf(x: float) -> float:
+    return math.exp(-0.5 * x * x) / _SQRT_2PI
+
+
+def _q(x: float) -> float:
+    return 0.5 * math.erfc(x * _INV_SQRT2)
+
+
 def std_normal_pdf(x: float) -> float:
     """phi(x) = exp(-x^2/2) / sqrt(2 pi)."""
-    x = _check_finite("x", x)
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
+    return _pdf(_check_finite("x", x))
 
 
 def q_function(x: float) -> float:
     """Standard normal tail Q(x) = P[N(0,1) > x], via the complementary error function."""
-    x = _check_finite("x", x)
-    return 0.5 * math.erfc(x * _INV_SQRT2)
+    return _q(_check_finite("x", x))
 
 
-@dataclass(frozen=True)
-class GaussMoment:
-    """Arguments of a Gaussian shrinkage expectation E_H[f(mean + spread*H; threshold)].
+def _check_gauss_args(mean: float, spread: float, threshold: float) -> tuple[float, float, float]:
+    mean = _check_finite("mean", mean)
+    spread = _check_finite("spread", spread)
+    threshold = _check_finite("threshold", threshold)
+    if spread <= 0.0:
+        raise ValueError(f"spread must be positive, got {spread}")
+    if threshold <= 0.0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
+    return mean, spread, threshold
 
-    mean is the location of the Gaussian argument, spread its positive scale,
-    threshold the positive soft-threshold level.
+
+def gauss_expect_e(mean: float, spread: float, threshold: float) -> float:
+    """E_H[e(mean + spread*H; threshold)] for H standard normal, in closed form.
+
+    spread and threshold must be positive; all three must be finite.
     """
-
-    mean: float
-    spread: float
-    threshold: float
-
-    def __post_init__(self) -> None:
-        _check_finite("mean", self.mean)
-        _check_finite("spread", self.spread)
-        _check_finite("threshold", self.threshold)
-        if self.spread <= 0.0:
-            raise ValueError(f"spread must be positive, got {self.spread}")
-        if self.threshold <= 0.0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
-
-
-def gauss_expect_e(m: GaussMoment) -> float:
-    """E_H[e(mean + spread*H; threshold)] for H standard normal, in closed form."""
-    mu, tau, chi = m.mean, m.spread, m.threshold
+    mu, tau, chi = _check_gauss_args(mean, spread, threshold)
     up = (chi - mu) / tau
     um = (-chi - mu) / tau
-    q_up = q_function(up)
-    q_um = q_function(um)
-    p_up = std_normal_pdf(up)
-    p_um = std_normal_pdf(um)
+    q_up = _q(up)
+    q_um = _q(um)
+    p_up = _pdf(up)
+    p_um = _pdf(um)
     # a > chi and a < -chi branches of e
     upper = (chi * mu - 0.5 * chi * chi) * q_up + chi * tau * p_up
-    lower = (-chi * mu - 0.5 * chi * chi) * q_function(-um) + chi * tau * p_um
+    lower = (-chi * mu - 0.5 * chi * chi) * _q(-um) + chi * tau * p_um
     # dead zone: quadratic branch a^2/2 integrated between u- and u+
     dead = (
         0.5 * (mu * mu + tau * tau) * (q_um - q_up)
@@ -129,14 +125,17 @@ def gauss_expect_e(m: GaussMoment) -> float:
     return upper + dead + lower
 
 
-def gauss_expect_eta(m: GaussMoment) -> float:
-    """E_H[eta(mean + spread*H; threshold)] for H standard normal, in closed form."""
-    mu, tau, chi = m.mean, m.spread, m.threshold
+def gauss_expect_eta(mean: float, spread: float, threshold: float) -> float:
+    """E_H[eta(mean + spread*H; threshold)] for H standard normal, in closed form.
+
+    spread and threshold must be positive; all three must be finite.
+    """
+    mu, tau, chi = _check_gauss_args(mean, spread, threshold)
     up = (chi - mu) / tau
     um = (-chi - mu) / tau
     return (
-        (mu - chi) * q_function(up)
-        + tau * std_normal_pdf(up)
-        + (mu + chi) * q_function(-um)
-        - tau * std_normal_pdf(um)
+        (mu - chi) * _q(up)
+        + tau * _pdf(up)
+        + (mu + chi) * _q(-um)
+        - tau * _pdf(um)
     )

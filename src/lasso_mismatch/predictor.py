@@ -12,9 +12,12 @@ signal prior and H standard normal.  From the saddle point follow the limiting
 mean squared error and the per-entry support-recovery probabilities at a hard
 threshold xi.
 
-The saddle is located by nested derivative-free golden-section searches on
-expanding brackets; non-convergence raises instead of returning a best-effort
-result.
+The saddle is located by nested derivative-free golden-section searches: the
+outer one over tau, the inner one over beta.  Both run through one expanding
+golden-section helper, which doubles the upper end of the bracket while the
+function still falls past it and then searches the bracket.  The optimal
+lambda is found by the same golden section on a fixed interval.
+Non-convergence raises instead of returning a best-effort result.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ INNER_REL_TOL = 1e-10
 OUTER_REL_TOL = 1e-9
 INNER_MAX_ITERS = 200
 OUTER_MAX_ITERS = 200
-BETA_MAX_CAP = 1e6
+BRACKET_CAP = 1e6
 _BETA_BRACKET = (1e-6, 10.0)
 _TAU_HI_INIT = 10.0
 
@@ -189,44 +192,46 @@ def golden_section_min(f, lo: float, hi: float, rel_tol: float, max_iters: int):
     return x, f(x), iters, converged
 
 
-def _maximize_over_beta(tau: float, cfg: ModelConfig, p: Prior):
-    """Inner maximization over beta; returns (beta, value, golden iterations)."""
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+def _expanding_golden_min(f, lo: float, hi: float, rel_tol: float, max_iters: int,
+                          name: str, **context):
+    """Minimize f over [lo, inf) by golden section on an expanding bracket.
 
-    def neg(beta: float) -> float:
-        return -objective_D(tau, beta, cfg, p)
+    The upper end hi doubles while f still falls past it, up to BRACKET_CAP;
+    golden_section_min then searches [lo, hi].  Returns (argmin, value,
+    iterations).  Running past the cap or out of iterations raises
+    NonConvergenceError carrying the last `name` iterate and `context`.
+    """
 
-    lo, hi = _BETA_BRACKET
-    f_hi = neg(hi)
-    # expand the upper end while the objective still improves past it
+    def failure(message: str, last: float) -> NonConvergenceError:
+        where = "".join(f" at {k}={v:g}" for k, v in context.items())
+        return NonConvergenceError(message + where, **{name: last}, **context)
+
+    f_hi = f(hi)
     while True:
-        f_next = neg(2.0 * hi)
+        f_next = f(2.0 * hi)
         if f_next >= f_hi:
             hi = 2.0 * hi
             break
         hi *= 2.0
         f_hi = f_next
-        if hi > BETA_MAX_CAP:
-            raise NonConvergenceError(
-                f"beta bracket expansion exceeded cap {BETA_MAX_CAP:g} at tau={tau:g}",
-                tau=tau,
-                beta=hi,
-            )
-    beta, neg_val, iters, ok = golden_section_min(neg, lo, hi, INNER_REL_TOL, INNER_MAX_ITERS)
+        if hi > BRACKET_CAP:
+            raise failure(f"{name} bracket expansion exceeded cap {BRACKET_CAP:g}", hi)
+    x, value, iters, ok = golden_section_min(f, lo, hi, rel_tol, max_iters)
     if not ok:
-        raise NonConvergenceError(
-            f"inner beta search did not converge within {INNER_MAX_ITERS} iterations at tau={tau:g}",
-            tau=tau,
-            beta=beta,
-        )
+        raise failure(f"{name} search did not converge within {max_iters} iterations", x)
+    return x, value, iters
+
+
+def maximize_over_beta(tau: float, cfg: ModelConfig, p: Prior) -> tuple[float, float, int]:
+    """Maximize beta -> D(tau, beta) over beta > 0; returns (argmax, value, golden iterations)."""
+
+    def neg(beta: float) -> float:
+        return -objective_D(tau, beta, cfg, p)
+
+    lo, hi = _BETA_BRACKET
+    beta, neg_val, iters = _expanding_golden_min(
+        neg, lo, hi, INNER_REL_TOL, INNER_MAX_ITERS, "beta", tau=tau)
     return beta, -neg_val, iters
-
-
-def maximize_over_beta(tau: float, cfg: ModelConfig, p: Prior) -> tuple[float, float]:
-    """Maximize beta -> D(tau, beta) over beta > 0; returns (argmax, value)."""
-    beta, value, _ = _maximize_over_beta(tau, cfg, p)
-    return beta, value
 
 
 def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
@@ -234,42 +239,24 @@ def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
 
     The outer search minimizes tau -> max_beta D(tau, beta) by golden section
     on an expanding bracket; the lower end sits at half of sigma_z/sqrt(delta),
-    below any achievable error scale.
+    below any achievable error scale.  The search's closing evaluation at
+    tau* supplies beta*.
     """
     inner_total = 0
+    beta_last = math.nan
 
     def g(tau: float) -> float:
-        nonlocal inner_total
-        _, value, iters = _maximize_over_beta(tau, cfg, p)
+        nonlocal inner_total, beta_last
+        beta_last, value, iters = maximize_over_beta(tau, cfg, p)
         inner_total += iters
         return value
 
     lo = max(1e-6, 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta))
-    hi = _TAU_HI_INIT
-    g_hi = g(hi)
-    while True:
-        g_next = g(2.0 * hi)
-        if g_next >= g_hi:
-            hi = 2.0 * hi
-            break
-        hi *= 2.0
-        g_hi = g_next
-        if hi > BETA_MAX_CAP:
-            raise NonConvergenceError(
-                f"tau bracket expansion exceeded cap {BETA_MAX_CAP:g}", tau=hi
-            )
-
-    tau, value, outer_iters, ok = golden_section_min(g, lo, hi, OUTER_REL_TOL, OUTER_MAX_ITERS)
-    if not ok:
-        raise NonConvergenceError(
-            f"outer tau search did not converge within {OUTER_MAX_ITERS} iterations",
-            tau=tau,
-        )
-    beta, value, iters = _maximize_over_beta(tau, cfg, p)
-    inner_total += iters
+    tau, value, outer_iters = _expanding_golden_min(
+        g, lo, _TAU_HI_INIT, OUTER_REL_TOL, OUTER_MAX_ITERS, "tau")
     return ScalarSolution(
         tau_star=tau,
-        beta_star=beta,
+        beta_star=beta_last,
         objective=value,
         converged=True,
         outer_iters=outer_iters,
@@ -333,8 +320,10 @@ def optimal_lambda(
 ) -> tuple[float, float]:
     """Minimize the predicted MSE over the regularization weight.
 
-    cfg.lam is ignored; the search runs a golden section on search_interval
-    down to bracket width 1e-4 and returns (lambda_opt, mse_opt).
+    cfg.lam is ignored; the search runs golden_section_min on search_interval
+    down to bracket width 1e-4 * max(1, lambda), which is an absolute 1e-4
+    for lambda_opt <= 1, and returns (lambda_opt, mse_opt).  It raises
+    NonConvergenceError when that takes more than OUTER_MAX_ITERS steps.
     """
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not (0.0 < lo < hi):
@@ -344,21 +333,8 @@ def optimal_lambda(
         c = cfg.with_lam(lam)
         return predict_mse(solve_scalar(c, p), c, p)
 
-    a, b = lo, hi
-    c_ = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = f(c_)
-    fd = f(d)
-    iters = 0
-    while (b - a) > 1e-4 and iters < OUTER_MAX_ITERS:
-        if fc < fd:
-            b, d, fd = d, c_, fc
-            c_ = b - _INV_PHI * (b - a)
-            fc = f(c_)
-        else:
-            a, c_, fc = c_, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-        iters += 1
-    lam_opt = 0.5 * (a + b)
-    return lam_opt, f(lam_opt)
+    lam_opt, mse_opt, _, ok = golden_section_min(f, lo, hi, 1e-4, OUTER_MAX_ITERS)
+    if not ok:
+        raise NonConvergenceError(
+            f"lambda search did not converge within {OUTER_MAX_ITERS} iterations")
+    return lam_opt, mse_opt

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GaussMoment, gauss_expect_e, gauss_expect_eta
+from .kernels import gauss_expect_e, gauss_expect_eta
 
 __all__ = [
     "Prior",
@@ -94,16 +94,14 @@ def prior_expect_e(p: Prior, gamma: float, tau: float, chi: float) -> float:
     Expands to the probability-weighted sum of per-atom Gaussian expectations.
     """
     _check_args(gamma, tau, chi)
-    return sum(
-        prob * gauss_expect_e(GaussMoment(gamma * v, tau, chi)) for v, prob in p.atoms
-    )
+    return sum(prob * gauss_expect_e(gamma * v, tau, chi) for v, prob in p.atoms)
 
 
 def prior_expect_eta_x0(p: Prior, gamma: float, tau: float, chi: float) -> float:
     """E[eta(gamma*X + tau*H; chi) * X]; the zero atom contributes nothing."""
     _check_args(gamma, tau, chi)
     return sum(
-        prob * v * gauss_expect_eta(GaussMoment(gamma * v, tau, chi))
+        prob * v * gauss_expect_eta(gamma * v, tau, chi)
         for v, prob in p.atoms
         if v != 0.0
     )

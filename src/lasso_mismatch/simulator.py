@@ -164,6 +164,8 @@ def _kkt_residual(g: np.ndarray, x: np.ndarray, lam: float) -> float:
 _POLISH_AFTER = 5
 # steps below this share of the iterate's norm are within rounding of A d
 _STEP_FLOOR = 1e-12
+# KKT residuals below this many ulps of ||A^T y||_inf are rounding level
+_KKT_FLOOR = 64.0 * np.finfo(float).eps
 
 
 def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
@@ -212,8 +214,10 @@ def solve_lasso(
     the iterate has held for a few iterations, the exact solution on that
     pattern is tried and returned if it passes the KKT gate.  Iterations
     stop once the relative objective change falls below tol and the KKT
-    residual is within 10*tol*lam; hitting max_iter with a larger residual
-    flags the result as non-converged (it is still returned).
+    residual is within the gate 10*tol*lam, floored at 64 ulps of
+    ||A^T y||_inf, below which the residual is rounding; hitting max_iter
+    with a larger residual flags the result as non-converged (it is still
+    returned).
     """
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
@@ -249,6 +253,9 @@ def solve_lasso(
     for k in range(1, max_iter + 1):
         iters = k
         grad = A.T @ (Aw - y)
+        if k == 1:
+            # the first gradient is -A^T y
+            kkt_gate = max(kkt_gate, _KKT_FLOOR * float(np.abs(grad).max()))
         while True:
             step = w - grad / L
             x_new = np.sign(step) * np.maximum(np.abs(step) - lam / L, 0.0)

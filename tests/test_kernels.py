@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from lasso_mismatch.kernels import (
-    GaussMoment,
     gauss_expect_e,
     gauss_expect_eta,
     q_function,
@@ -113,40 +112,60 @@ class TestNormalFunctions:
 
 
 class TestGaussMoment:
+    """Arguments (mean, spread, threshold) of the Gaussian expectations."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GaussMoment(0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            GaussMoment(0.0, 1.0, -1.0)
-        with pytest.raises(ValueError):
-            GaussMoment(float("nan"), 1.0, 1.0)
+        for kernel in (gauss_expect_e, gauss_expect_eta):
+            with pytest.raises(ValueError):
+                kernel(0.0, 0.0, 1.0)
+            with pytest.raises(ValueError):
+                kernel(0.0, 1.0, -1.0)
+            with pytest.raises(ValueError):
+                kernel(float("nan"), 1.0, 1.0)
+
+    @pytest.mark.parametrize("kernel", [gauss_expect_e, gauss_expect_eta])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_argument(self, kernel, position, bad):
+        args = [0.3, 0.7, 0.5]
+        args[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kernel(*args)
+
+    @pytest.mark.parametrize("kernel", [gauss_expect_e, gauss_expect_eta])
+    @pytest.mark.parametrize("position", [1, 2])
+    def test_rejects_zero_spread_or_threshold(self, kernel, position):
+        args = [0.3, 0.7, 0.5]
+        args[position] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            kernel(*args)
 
 
 class TestGaussExpectations:
     def test_wide_dead_zone_limit(self):
         # chi = 10 leaves only the quadratic branch: E[H^2]/2 = 1/2
-        val = gauss_expect_e(GaussMoment(0.0, 1.0, 10.0))
+        val = gauss_expect_e(0.0, 1.0, 10.0)
         assert val == pytest.approx(0.5, abs=1e-9)
 
     def test_frozen_oracle_values(self):
-        assert gauss_expect_e(GaussMoment(0.0, 1.0, 0.5)) == pytest.approx(
+        assert gauss_expect_e(0.0, 1.0, 0.5) == pytest.approx(
             ORACLE_E_0_1_HALF, abs=1e-9
         )
-        assert gauss_expect_e(GaussMoment(math.sqrt(0.9), 0.6, 0.8)) == pytest.approx(
+        assert gauss_expect_e(math.sqrt(0.9), 0.6, 0.8) == pytest.approx(
             ORACLE_E_SQRT09_06_08, abs=1e-9
         )
-        assert gauss_expect_eta(GaussMoment(1.0, 0.5, 0.4)) == pytest.approx(
+        assert gauss_expect_eta(1.0, 0.5, 0.4) == pytest.approx(
             ORACLE_ETA_1_05_04, abs=1e-9
         )
 
     def test_eta_odd_in_mean(self):
-        assert gauss_expect_eta(GaussMoment(0.0, 0.7, 0.3)) == pytest.approx(0.0, abs=1e-15)
-        m_pos = gauss_expect_eta(GaussMoment(0.8, 0.7, 0.3))
-        m_neg = gauss_expect_eta(GaussMoment(-0.8, 0.7, 0.3))
+        assert gauss_expect_eta(0.0, 0.7, 0.3) == pytest.approx(0.0, abs=1e-15)
+        m_pos = gauss_expect_eta(0.8, 0.7, 0.3)
+        m_neg = gauss_expect_eta(-0.8, 0.7, 0.3)
         assert m_pos == pytest.approx(-m_neg, abs=1e-14)
 
     def test_eta_huge_threshold(self):
-        assert gauss_expect_eta(GaussMoment(1.0, 0.5, 50.0)) == pytest.approx(0.0, abs=1e-12)
+        assert gauss_expect_eta(1.0, 0.5, 50.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_closed_forms_match_oracle_grid(self):
         worst_e = 0.0
@@ -154,12 +173,13 @@ class TestGaussExpectations:
         for mu in (0.0, 0.5, -0.5, 1.0, -1.0):
             for tau in (0.1, 0.5, 1.0, 2.0):
                 for chi in (0.05, 0.5, 1.0, 3.0):
-                    m = GaussMoment(mu, tau, chi)
                     worst_e = max(
-                        worst_e, abs(gauss_expect_e(m) - oracle_expect_e(mu, tau, chi))
+                        worst_e,
+                        abs(gauss_expect_e(mu, tau, chi) - oracle_expect_e(mu, tau, chi)),
                     )
                     worst_eta = max(
-                        worst_eta, abs(gauss_expect_eta(m) - oracle_expect_eta(mu, tau, chi))
+                        worst_eta,
+                        abs(gauss_expect_eta(mu, tau, chi) - oracle_expect_eta(mu, tau, chi)),
                     )
         assert worst_e <= 1e-9
         assert worst_eta <= 1e-9

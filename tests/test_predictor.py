@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lasso_mismatch import predictor
 from lasso_mismatch.kernels import q_function
 from lasso_mismatch.predictor import (
     INNER_MAX_ITERS,
@@ -106,13 +107,13 @@ class TestObjective:
 class TestMaximizeOverBeta:
     def test_local_max_certificate(self):
         tau = 0.6
-        beta, value = maximize_over_beta(tau, REF_CFG, REF_PRIOR)
+        beta, value, _ = maximize_over_beta(tau, REF_CFG, REF_PRIOR)
         for probe in (beta * (1 - 1e-4), beta * (1 + 1e-4)):
             assert value >= objective_D(tau, probe, REF_CFG, REF_PRIOR) - 1e-12
 
     def test_grid_oracle_brackets_argmax(self):
         tau = 0.6
-        beta, _ = maximize_over_beta(tau, REF_CFG, REF_PRIOR)
+        beta, _, _ = maximize_over_beta(tau, REF_CFG, REF_PRIOR)
         grid = np.linspace(1e-6, 5.0, 10_000)
         vals = np.array([objective_D(tau, b, REF_CFG, REF_PRIOR) for b in grid])
         b_grid = grid[int(np.argmax(vals))]
@@ -165,7 +166,7 @@ class TestSolveScalar:
             for b in (sol.beta_star * (1 - 1e-3), sol.beta_star * (1 + 1e-3)):
                 assert objective_D(sol.tau_star, b, cfg, REF_PRIOR) <= d_star + 1e-8
             for t in (sol.tau_star * (1 - 1e-3), sol.tau_star * (1 + 1e-3)):
-                _, val = maximize_over_beta(t, cfg, REF_PRIOR)
+                _, val, _ = maximize_over_beta(t, cfg, REF_PRIOR)
                 assert d_star <= val + 1e-8
 
 
@@ -304,3 +305,14 @@ class TestOptimalLambda:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             optimal_lambda(REF_CFG, REF_PRIOR, (1.0, 0.5))
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # a quadratic stand-in for the predicted MSE isolates the lambda search
+        # from the saddle solves, which have the same iteration cap
+        monkeypatch.setattr(predictor, "solve_scalar", lambda cfg, p: cfg)
+        monkeypatch.setattr(predictor, "predict_mse", lambda cfg, c, p: (c.lam - 0.7) ** 2)
+        lam_opt, _ = optimal_lambda(REF_CFG, REF_PRIOR, (0.5, 1.0))
+        assert abs(lam_opt - 0.7) <= 1e-4
+        monkeypatch.setattr(predictor, "OUTER_MAX_ITERS", 3)
+        with pytest.raises(NonConvergenceError, match="lambda search"):
+            optimal_lambda(REF_CFG, REF_PRIOR, (0.5, 1.0))

@@ -184,6 +184,22 @@ class TestStepCertification:
         assert res.lipschitz <= 2 * np.linalg.norm(A, 2) ** 2
 
 
+class TestKktGate:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_gate_has_a_rounding_floor(self, seed):
+        # at lambda = 1e-6 ||A^T y||_inf on a near-square system the absolute
+        # gate 10*tol*lambda is below the rounding of A^T r, so without a
+        # floor at a few ulps of ||A^T y||_inf the solve never converges
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(40, 39))
+        y = rng.normal(size=40)
+        aty = float(np.max(np.abs(A.T @ y)))
+        res = solve_lasso(A, y, 1e-6 * aty, max_iter=5000)
+        assert res.converged
+        assert res.iters < 5000
+        assert res.kkt_residual <= 64 * np.finfo(float).eps * aty
+
+
 class TestPolish:
     def test_polished_result_is_certified(self, monkeypatch):
         returned = []
