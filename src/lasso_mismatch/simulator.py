@@ -1,7 +1,8 @@
 """Finite-dimensional Monte Carlo: instance generation, LASSO solving, metrics.
 
-Instances follow the generative model y = H x0 + z where only a noisy version
-A = gamma H + eps Omega of the measurement matrix is available to the solver.
+Instances follow y = H x0 + z, where the solver sees only A = gamma H + eps Omega
+with gamma^2 + eps^2 = 1.  Given A, H = gamma A + eps G with G independent of A,
+so y = gamma A x0 + s xi with s^2 = sigma_z2 + eps^2 ||x0||^2 / n and xi ~ N(0, I).
 The LASSO (1/2)||y - A x||^2 + lam ||x||_1 is solved by accelerated proximal
 gradient with adaptive restart (FISTA).  Its step is certified by
 Beck-Teboulle backtracking from a power-iteration estimate of ||A||_2^2, it
@@ -49,10 +50,9 @@ def round_count(x: float) -> int:
 
 @dataclass(frozen=True)
 class Instance:
-    """One simulated problem: ground truth, matrices, observations, support."""
+    """One simulated problem: ground truth, matrix, observations, support."""
 
     x0: np.ndarray
-    H: np.ndarray
     A: np.ndarray
     y: np.ndarray
     support: np.ndarray
@@ -104,12 +104,15 @@ def generate_instance(
     """Draw one problem instance of size n under the additive-uncertainty model.
 
     The support has exactly round(kappa * n) entries placed uniformly; its
-    values are drawn from the prior conditioned on being nonzero.  H and the
-    error matrix have iid centered Gaussian entries of variance 1/n.
+    values are drawn from the prior conditioned on being nonzero.  A has iid
+    N(0, 1/n) entries; y is drawn from its law given A, H = gamma A + eps G with
+    G independent of A, as y = gamma A x0 + s xi, s^2 = sigma_z2 + eps^2 |x0|^2/n.
     """
     if n < 8:
         raise ValueError(f"n must be at least 8, got {n}")
     m = round_count(cfg.delta * n)
+    if m < 1:
+        raise ValueError(f"measurement count m={m} must be at least 1 for n={n}")
     k = round_count(cfg.kappa * n)
     if k < 1 or k >= n:
         raise ValueError(f"support size k={k} out of range for n={n}")
@@ -118,14 +121,10 @@ def generate_instance(
     x0 = np.zeros(n)
     x0[support] = sample_on_support(p, rng, k)
 
-    scale = 1.0 / math.sqrt(n)
-    H = rng.normal(0.0, scale, size=(m, n))
-    omega = rng.normal(0.0, scale, size=(m, n))
-    z = rng.normal(0.0, math.sqrt(cfg.sigma_z2), size=m)
-
-    A = cfg.gamma * H + math.sqrt(cfg.eps2) * omega
-    y = H @ x0 + z
-    return Instance(x0=x0, H=H, A=A, y=y, support=support)
+    A = rng.normal(0.0, 1.0 / math.sqrt(n), size=(m, n))
+    s = math.sqrt(cfg.sigma_z2 + cfg.eps2 * float(x0 @ x0) / n)
+    y = cfg.gamma * (A @ x0) + rng.normal(0.0, s, size=m)
+    return Instance(x0=x0, A=A, y=y, support=support)
 
 
 def _spectral_norm_sq(A: np.ndarray) -> float:
@@ -178,7 +177,7 @@ def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
     residual, which certifies it, is within kkt_gate; otherwise None.
     """
     support = np.flatnonzero(signs)
-    if support.size >= A.shape[0]:
+    if support.size > A.shape[0]:
         return None
     s = signs[support]
     A_s = A[:, support]

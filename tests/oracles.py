@@ -3,8 +3,10 @@
 The quadrature oracle integrates the scalar shrinkage functions against the
 standard normal density by adaptive Simpson on [-12, 12]; the truncated tail
 mass is far below the tolerances in play.  The coordinate-descent solver is a
-reference implementation for checking the production LASSO solver; neither
-shares code with the package paths they validate.
+reference implementation for checking the production LASSO solver, and the
+two-matrix sampler draws instances from the model's defining equations as a
+reference for the simulator's conditional draw; none shares code with the
+package paths they validate.
 """
 
 from __future__ import annotations
@@ -97,3 +99,13 @@ def cd_lasso(A: np.ndarray, y: np.ndarray, lam: float,
         if max_dx <= tol:
             break
     return x
+
+
+def two_matrix_instance(cfg, x0: np.ndarray, m: int,
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(A, y) from y = H x0 + z and A = gamma H + eps Omega, H and Omega iid N(0, 1/n)."""
+    scale = 1.0 / math.sqrt(x0.size)
+    H = rng.normal(0.0, scale, size=(m, x0.size))
+    omega = rng.normal(0.0, scale, size=(m, x0.size))
+    z = rng.normal(0.0, math.sqrt(cfg.sigma_z2), size=m)
+    return cfg.gamma * H + math.sqrt(cfg.eps2) * omega, H @ x0 + z

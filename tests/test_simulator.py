@@ -21,7 +21,7 @@ from lasso_mismatch.simulator import (
     run_trials,
     solve_lasso,
 )
-from oracles import cd_lasso
+from oracles import cd_lasso, two_matrix_instance
 
 CFG = ModelConfig(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=1.201)
 PRIOR = sparse_bernoulli(0.1)
@@ -36,7 +36,6 @@ class TestGenerateInstance:
     def test_dimensions_and_support_size(self):
         rng = np.random.default_rng(0)
         inst = generate_instance(CFG, PRIOR, 256, rng)
-        assert inst.H.shape == (205, 256)
         assert inst.A.shape == (205, 256)
         assert inst.y.shape == (205,)
         assert inst.support.shape == (26,)  # round(0.1 * 256)
@@ -53,16 +52,15 @@ class TestGenerateInstance:
         rng = np.random.default_rng(1)
         inst = generate_instance(CFG, PRIOR, 256, rng)
         n = 256
-        sample_var = inst.H.var()
+        sample_var = inst.A.var()
         # variance of the sample variance of N Gaussians is ~ 2 var^2 / N
-        se = (1.0 / n) * math.sqrt(2.0 / (inst.H.size - 1))
+        se = (1.0 / n) * math.sqrt(2.0 / (inst.A.size - 1))
         assert abs(sample_var - 1.0 / n) <= 4 * se
 
     def test_determinism(self):
         a = generate_instance(CFG, PRIOR, 64, np.random.default_rng(42))
         b = generate_instance(CFG, PRIOR, 64, np.random.default_rng(42))
         assert np.array_equal(a.x0, b.x0)
-        assert np.array_equal(a.H, b.H)
         assert np.array_equal(a.A, b.A)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.support, b.support)
@@ -74,6 +72,37 @@ class TestGenerateInstance:
             generate_instance(small, sparse_bernoulli(0.01), 8, rng)
         with pytest.raises(ValueError):
             generate_instance(CFG, PRIOR, 4, rng)
+        few = ModelConfig(delta=0.01, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=1.0)
+        with pytest.raises(ValueError, match="m=0"):
+            generate_instance(few, PRIOR, 10, rng)
+
+    def test_law_of_y_given_A(self):
+        # y - gamma A x0 is N(0, s^2) noise independent of A x0, and y agrees
+        # in its second moments with the two-matrix draw y = H x0 + z,
+        # A = gamma H + eps Omega; entries pooled over draws are iid here
+        # because every x0 has the same norm
+        cfg = ModelConfig(delta=0.8, kappa=0.1, eps2=0.5, sigma_z2=0.2, lam=1.0)
+        rng = np.random.default_rng(7)
+        ref_rng = np.random.default_rng(8)
+        n = 128
+        r, ax0, y, ref_ax0, ref_y = [], [], [], [], []
+        for _ in range(200):
+            inst = generate_instance(cfg, PRIOR, n, rng)
+            s2 = cfg.sigma_z2 + cfg.eps2 * float(inst.x0 @ inst.x0) / n
+            ax = inst.A @ inst.x0
+            r.append((inst.y - cfg.gamma * ax) / math.sqrt(s2))
+            ax0.append(ax)
+            y.append(inst.y)
+            A_ref, y_ref = two_matrix_instance(cfg, inst.x0, inst.y.size, ref_rng)
+            ref_ax0.append(A_ref @ inst.x0)
+            ref_y.append(y_ref)
+        r, ax0, y, ref_ax0, ref_y = map(np.concatenate, (r, ax0, y, ref_ax0, ref_y))
+        size = r.size
+        assert abs(r.var() - 1.0) <= 4 * math.sqrt(2.0 / (size - 1))
+        assert abs(np.corrcoef(r, ax0)[0, 1]) <= 4 / math.sqrt(size)
+        for ours, ref in ((y * y, ref_y * ref_y), (y * ax0, ref_y * ref_ax0)):
+            se = math.hypot(ours.std(ddof=1), ref.std(ddof=1)) / math.sqrt(size)
+            assert abs(ours.mean() - ref.mean()) <= 4 * se
 
 
 class TestSolveLasso:
@@ -239,16 +268,31 @@ class TestPolish:
         for wrong in (dropped, flipped):
             assert simulator._polish(inst.A, inst.y, cfg.lam, wrong, gate) is None
 
+    def test_full_square_support_is_solved(self):
+        # with |S| = m the restricted system is square and generically
+        # invertible; skipping the exact solve there leaves FISTA alone on a
+        # badly scaled 31 x 31 problem, which it does not finish in 5000 steps
+        rng = np.random.default_rng(98)
+        m = rng.integers(6, 81)
+        n = rng.integers(max(2, m - 4), m + 1)
+        scale = 10 ** rng.uniform(-3, 3)
+        A = rng.normal(0.0, scale, (m, n))
+        y = rng.normal(0.0, scale, m)
+        assert (m, n) == (31, 31)
+        res = solve_lasso(A, y, 1e-6 * float(np.max(np.abs(A.T @ y))), max_iter=5000)
+        assert np.count_nonzero(res.x_hat) == m
+        assert res.converged
+        assert res.iters < 5000
+
 
 class TestEmpiricalMetrics:
     def _tiny_instance(self):
         n, m = 4, 3
         x0 = np.array([0.0, 2.0, 0.0, 0.0])
         support = np.array([1])
-        H = np.zeros((m, n))
         A = np.zeros((m, n))
         y = np.zeros(m)
-        return Instance(x0=x0, H=H, A=A, y=y, support=support)
+        return Instance(x0=x0, A=A, y=y, support=support)
 
     def test_exact_recovery(self):
         inst = self._tiny_instance()
