@@ -2,7 +2,8 @@
 
 Each row of the output covers one lambda: the scalar-theory predictions, the
 Monte Carlo measurements, or both.  Absent columns are left empty rather than
-zero-filled.  Exit codes: 0 success, 1 usage error, 2 computation error,
+zero-filled.  `run_sweep` returns each row as a `SweepRow`, a read-only
+mapping from every CSV column to its value or None.  Exit codes: 0 success, 1 usage error, 2 computation error,
 3 I/O error.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .predictor import ModelConfig, NonConvergenceError, predict_report
@@ -19,6 +22,7 @@ from .simulator import run_grid
 
 __all__ = [
     "SweepSpec",
+    "SweepRow",
     "UsageError",
     "ComputationError",
     "parse_args",
@@ -42,6 +46,39 @@ CSV_COLUMNS = (
     "phi_off_emp_se",
     "nonconverged_trials",
 )
+_COLUMN_SET = frozenset(CSV_COLUMNS)
+
+
+class SweepRow(Mapping):
+    """One output row: a read-only mapping from each CSV column to its value or None.
+
+    The rows of a sweep share its columns, one array for each column that
+    the mode fills (doubles; integers for nonconverged_trials), so a row
+    costs about 50 bytes plus 8 per filled column, where a dict of 13 keys
+    and its floats costs about 600.
+    """
+
+    __slots__ = ("_columns", "_index")
+
+    def __init__(self, columns: dict[str, array], index: int) -> None:
+        self._columns = columns
+        self._index = index
+
+    def __getitem__(self, col: str):
+        if col not in _COLUMN_SET:
+            raise KeyError(col)
+        column = self._columns.get(col)
+        return None if column is None else column[self._index]
+
+    def __iter__(self):
+        return iter(CSV_COLUMNS)
+
+    def __len__(self) -> int:
+        return len(CSV_COLUMNS)
+
+    def __repr__(self) -> str:
+        return f"SweepRow({dict(self)!r})"
+
 
 # pinned sweep configurations for the two reference figures
 _FIG_PRESETS = {
@@ -191,7 +228,7 @@ def parse_args(argv: list[str]) -> SweepSpec:
         raise UsageError(str(exc)) from exc
 
 
-def run_sweep(spec: SweepSpec) -> list[dict]:
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Compute one row per lambda, in grid order; deterministic for a fixed spec.
 
     The Monte Carlo columns of all rows come from one `run_grid` call, which
@@ -232,7 +269,12 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             row["phi_off_emp_mean"] = emp.mean_phi_off
             row["phi_off_emp_se"] = emp.se_phi_off
             row["nonconverged_trials"] = emp.nonconverged_trials
-    return rows
+    # the mode fills a column in every row or in none
+    columns = {
+        col: array("q" if col == "nonconverged_trials" else "d", [row[col] for row in rows])
+        for col in CSV_COLUMNS if rows[0][col] is not None
+    }
+    return [SweepRow(columns, i) for i in range(len(rows))]
 
 
 def _format_cell(value) -> str:
@@ -243,7 +285,7 @@ def _format_cell(value) -> str:
     return format(value, ".12g")
 
 
-def emit_csv(rows: list[dict], out) -> None:
+def emit_csv(rows: list[Mapping], out) -> None:
     """Write header and rows to a text sink; floats carry 12 significant digits."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

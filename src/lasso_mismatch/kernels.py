@@ -1,6 +1,6 @@
 """Scalar kernels: soft thresholding, its optimal value, and their Gaussian averages.
 
-Everything here is a pure function of float scalars.  The two Gaussian
+Everything here is a pure function of float scalars.  The Gaussian
 expectations are evaluated with closed forms in the standard-normal pdf and
 tail function; the derivations split the integral over the three branches of
 the piecewise definitions.  With u+ = (chi - mu) / tau and u- = (-chi - mu) / tau:
@@ -13,6 +13,11 @@ the piecewise definitions.  With u+ = (chi - mu) / tau and u- = (-chi - mu) / ta
                             + (mu^2 + tau^2)/2 * (Q(u-) - Q(u+))
                             + mu*tau (phi(u-) - phi(u+))
                             + tau^2/2 * (u- phi(u-) - u+ phi(u+))
+
+    E|eta(mu + tau*H; chi)| = (mu - chi) Q(u+) + tau phi(u+)
+                            - (mu + chi) Q(-u-) + tau phi(u-)
+
+    P(|mu + tau*H| <= chi)  = Q(u-) - Q(u+)
 
 using the identities  int_a^b phi = Q(a) - Q(b),  int_a^b h phi = phi(a) - phi(b),
 int_a^b h^2 phi = Q(a) - Q(b) + a phi(a) - b phi(b).  These are cross-checked
@@ -101,28 +106,34 @@ def _check_gauss_args(mean: float, spread: float, threshold: float) -> tuple[flo
     return mean, spread, threshold
 
 
-def gauss_expect_e(mean: float, spread: float, threshold: float) -> float:
-    """E_H[e(mean + spread*H; threshold)] for H standard normal, in closed form.
+def _gauss_moments(mu: float, tau: float, chi: float) -> tuple[float, float, float]:
+    """(E e, E|eta|, P(|a| <= chi)) for a = mu + tau*H, from one set of Q and phi values.
 
-    spread and threshold must be positive; all three must be finite.
+    Arguments are not checked; gauss_expect_e is the checked entry point.
     """
-    mu, tau, chi = _check_gauss_args(mean, spread, threshold)
     up = (chi - mu) / tau
     um = (-chi - mu) / tau
-    q_up = _q(up)
-    q_um = _q(um)
-    p_up = _pdf(up)
-    p_um = _pdf(um)
+    q_up, q_um, q_mum = _q(up), _q(um), _q(-um)
+    p_up, p_um = _pdf(up), _pdf(um)
     # a > chi and a < -chi branches of e
     upper = (chi * mu - 0.5 * chi * chi) * q_up + chi * tau * p_up
-    lower = (-chi * mu - 0.5 * chi * chi) * _q(-um) + chi * tau * p_um
+    lower = (-chi * mu - 0.5 * chi * chi) * q_mum + chi * tau * p_um
     # dead zone: quadratic branch a^2/2 integrated between u- and u+
     dead = (
         0.5 * (mu * mu + tau * tau) * (q_um - q_up)
         + mu * tau * (p_um - p_up)
         + 0.5 * tau * tau * (um * p_um - up * p_up)
     )
-    return upper + dead + lower
+    abs_eta = (mu - chi) * q_up + tau * p_up - (mu + chi) * q_mum + tau * p_um
+    return upper + dead + lower, abs_eta, q_um - q_up
+
+
+def gauss_expect_e(mean: float, spread: float, threshold: float) -> float:
+    """E_H[e(mean + spread*H; threshold)] for H standard normal, in closed form.
+
+    spread and threshold must be positive; all three must be finite.
+    """
+    return _gauss_moments(*_check_gauss_args(mean, spread, threshold))[0]
 
 
 def gauss_expect_eta(mean: float, spread: float, threshold: float) -> float:

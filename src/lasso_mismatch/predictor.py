@@ -12,11 +12,12 @@ signal prior and H standard normal.  From the saddle point follow the limiting
 mean squared error and the per-entry support-recovery probabilities at a hard
 threshold xi.
 
-The saddle is located by nested derivative-free golden-section searches: the
-outer one over tau, the inner one over beta.  Both run through one expanding
-golden-section helper, which doubles the upper end of the bracket while the
-function still falls past it and then searches the bracket.  The optimal
-lambda is found by the same golden section on a fixed interval.
+The saddle is a root of the closed-form gradient of D: at each tau the
+inner root solves dD/dbeta = 0, and the outer root solves dD/dtau = 0 along
+that curve, where it is the derivative of tau -> max_beta D.  One
+safeguarded secant (Illinois) search serves both.  A solution is returned
+only when its scaled stationarity residual is within SADDLE_TOL of D.  The
+optimal lambda is found by golden section on a fixed interval.
 Non-convergence raises instead of returning a best-effort result.
 """
 
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .kernels import q_function
-from .prior import Prior, prior_expect_e, prior_expect_eta_x0
+from .prior import Prior, _prior_moments, prior_expect_e, prior_expect_eta_x0
 
 __all__ = [
     "ModelConfig",
@@ -34,6 +35,7 @@ __all__ = [
     "PredictionReport",
     "NonConvergenceError",
     "golden_section_min",
+    "bracketed_root",
     "objective_D",
     "maximize_over_beta",
     "solve_scalar",
@@ -45,17 +47,15 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-INNER_REL_TOL = 1e-10
-OUTER_REL_TOL = 1e-9
-INNER_MAX_ITERS = 200
+ROOT_REL_TOL = 1e-12
+ROOT_MAX_EVALS = 100
 OUTER_MAX_ITERS = 200
 BRACKET_CAP = 1e6
-_BETA_BRACKET = (1e-6, 10.0)
-_TAU_HI_INIT = 10.0
+SADDLE_TOL = 1e-9
 
 
 class NonConvergenceError(RuntimeError):
-    """A nested search exhausted its iteration or bracket budget.
+    """A search exhausted its budget or a saddle failed its residual check.
 
     Carries the last iterate so callers can inspect how far the solve got.
     """
@@ -123,7 +123,12 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ScalarSolution:
-    """Saddle point of the scalar min-max problem with convergence metadata."""
+    """Saddle point of the scalar min-max problem with convergence metadata.
+
+    outer_iters counts the tau root's evaluations (one beta root each),
+    inner_iters_total the beta roots' gradient evaluations; residual is
+    (|tau dD/dtau|, |beta dD/dbeta|) at the saddle.
+    """
 
     tau_star: float
     beta_star: float
@@ -131,6 +136,7 @@ class ScalarSolution:
     converged: bool
     outer_iters: int
     inner_iters_total: int
+    residual: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -144,16 +150,19 @@ class PredictionReport:
     solution: ScalarSolution
 
 
+def _check_positive(name: str, x: float) -> None:
+    if x <= 0.0 or not math.isfinite(x):
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+
+
 def objective_D(tau: float, beta: float, cfg: ModelConfig, p: Prior) -> float:
     """Evaluate the scalar min-max objective at (tau, beta).
 
     The eps^2 term uses the prior's second moment, which equals kappa for the
     sparse Bernoulli prior.
     """
-    if tau <= 0.0 or not math.isfinite(tau):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    if beta <= 0.0 or not math.isfinite(beta):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    _check_positive("tau", tau)
+    _check_positive("beta", beta)
     chi = 2.0 * cfg.lam * tau / beta
     expect_e = prior_expect_e(p, cfg.gamma, tau, chi)
     return (
@@ -192,76 +201,125 @@ def golden_section_min(f, lo: float, hi: float, rel_tol: float, max_iters: int):
     return x, f(x), iters, converged
 
 
-def _expanding_golden_min(f, lo: float, hi: float, rel_tol: float, max_iters: int,
-                          name: str, **context):
-    """Minimize f over [lo, inf) by golden section on an expanding bracket.
+def bracketed_root(f, lo: float, hi: float, name: str, **context) -> tuple[float, int]:
+    """Root of an increasing f on [lo, inf), with f(lo) < 0, by Illinois steps.
 
-    The upper end hi doubles while f still falls past it, up to BRACKET_CAP;
-    golden_section_min then searches [lo, hi].  Returns (argmin, value,
-    iterations).  Running past the cap or out of iterations raises
-    NonConvergenceError carrying the last `name` iterate and `context`.
+    hi doubles while f(hi) < 0, up to BRACKET_CAP.  Each step evaluates the
+    secant point of the sign-change bracket, kept half the stopping width
+    inside it (the midpoint if it is not a number), and halves the stored
+    value of an end kept twice in a row.  Stops when f vanishes or the
+    bracket is at most ROOT_REL_TOL * lo wide; returns (last point, number of
+    f evaluations).  Otherwise raises NonConvergenceError, whose `name`
+    attribute ("tau" or "beta") carries the last point and `context` the rest.
     """
 
     def failure(message: str, last: float) -> NonConvergenceError:
         where = "".join(f" at {k}={v:g}" for k, v in context.items())
         return NonConvergenceError(message + where, **{name: last}, **context)
 
-    f_hi = f(hi)
-    while True:
-        f_next = f(2.0 * hi)
-        if f_next >= f_hi:
-            hi = 2.0 * hi
-            break
-        hi *= 2.0
-        f_hi = f_next
+    if hi > BRACKET_CAP:
+        raise failure(f"{name} bracket exceeded cap {BRACKET_CAP:g}", hi)
+    f_lo, f_hi, evals = f(lo), f(hi), 2
+    if not f_lo < 0.0:
+        raise failure(f"{name} root is not above {lo:g}", lo)
+    while f_hi < 0.0:
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
         if hi > BRACKET_CAP:
-            raise failure(f"{name} bracket expansion exceeded cap {BRACKET_CAP:g}", hi)
-    x, value, iters, ok = golden_section_min(f, lo, hi, rel_tol, max_iters)
-    if not ok:
-        raise failure(f"{name} search did not converge within {max_iters} iterations", x)
-    return x, value, iters
+            raise failure(f"{name} bracket exceeded cap {BRACKET_CAP:g}", hi)
+        f_hi, evals = f(hi), evals + 1
+    kept = 0  # the end kept by the last step: -1 lo, +1 hi
+    while evals < ROOT_MAX_EVALS:
+        margin = 0.5 * ROOT_REL_TOL * lo
+        x = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + margin), hi - margin)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx, evals = f(x), evals + 1
+        if fx < 0.0:
+            lo, f_lo, f_hi = x, fx, f_hi * (0.5 if kept > 0 else 1.0)
+            kept = 1
+        elif fx > 0.0:
+            hi, f_hi, f_lo = x, fx, f_lo * (0.5 if kept < 0 else 1.0)
+            kept = -1
+        elif fx != 0.0:
+            raise failure(f"{name} root search met a NaN", x)
+        if fx == 0.0 or hi - lo <= ROOT_REL_TOL * lo:
+            return x, evals
+    raise failure(f"{name} root not found within {ROOT_MAX_EVALS} evaluations", x)
+
+
+def _gradient(tau: float, beta: float, cfg: ModelConfig, p: Prior) -> tuple[float, float]:
+    """(dD/dtau, dD/dbeta) in closed form.
+
+    With a = gamma*X + tau*H, chi = 2 lam tau / beta, s^2 = sigma_z^2 + eps^2 E[X^2]
+    and w = (s^2/2 + E e(a; chi) - chi E|eta(a; chi)|) / tau, the envelope
+    theorem (de/da = a - eta, de/dchi = |eta|) and Stein's lemma give
+        dD/dbeta = tau (delta - 1)/2 + w - beta/2,
+        dD/dtau  = beta ((delta - 1)/2 + P(|a| <= chi) - w/tau).
+    """
+    chi = 2.0 * cfg.lam * tau / beta
+    e, abs_eta, inside = _prior_moments(p, cfg.gamma, tau, chi)
+    w = (0.5 * (cfg.sigma_z2 + cfg.eps2 * p.second_moment()) + e - chi * abs_eta) / tau
+    half = 0.5 * (cfg.delta - 1.0)
+    return beta * (half + inside - w / tau), tau * half + w - 0.5 * beta
+
+
+def _beta_root(tau: float, cfg: ModelConfig, p: Prior) -> tuple[float, float, int]:
+    """Root of dD/dbeta at tau: (beta, dD/dtau there, evaluations).
+
+    e - chi |eta| = min(a^2, chi^2)/2 lies in [0, a^2/2], so the root lies in
+    [tau (delta - 1) + s^2/tau, tau delta + (sigma_z^2 + E[X^2])/tau].  The
+    search starts from half the lower bound, since at small lambda the root
+    can sit on the bound itself, within rounding of the gradient's terms.
+    """
+    d_tau = math.nan
+
+    def f(beta: float) -> float:
+        nonlocal d_tau
+        d_tau, d_beta = _gradient(tau, beta, cfg, p)
+        return -d_beta
+
+    ex2 = p.second_moment()
+    hi = tau * cfg.delta + (cfg.sigma_z2 + ex2) / tau
+    lo = max(0.5 * (tau * (cfg.delta - 1.0) + (cfg.sigma_z2 + cfg.eps2 * ex2) / tau), 1e-9 * hi)
+    beta, evals = bracketed_root(f, lo, hi, "beta", tau=tau)
+    return beta, d_tau, evals
 
 
 def maximize_over_beta(tau: float, cfg: ModelConfig, p: Prior) -> tuple[float, float, int]:
-    """Maximize beta -> D(tau, beta) over beta > 0; returns (argmax, value, golden iterations)."""
-
-    def neg(beta: float) -> float:
-        return -objective_D(tau, beta, cfg, p)
-
-    lo, hi = _BETA_BRACKET
-    beta, neg_val, iters = _expanding_golden_min(
-        neg, lo, hi, INNER_REL_TOL, INNER_MAX_ITERS, "beta", tau=tau)
-    return beta, -neg_val, iters
+    """Maximize the concave beta -> D(tau, beta): (argmax, value, gradient evaluations)."""
+    _check_positive("tau", tau)
+    beta, _, evals = _beta_root(tau, cfg, p)
+    return beta, objective_D(tau, beta, cfg, p), evals
 
 
 def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
     """Solve the scalar min-max problem for (tau*, beta*).
 
-    The outer search minimizes tau -> max_beta D(tau, beta) by golden section
-    on an expanding bracket; the lower end sits at half of sigma_z/sqrt(delta),
-    below any achievable error scale.  The search's closing evaluation at
-    tau* supplies beta*.
+    tau* is the root of dD/dtau(tau, beta(tau)), beta(tau) the root of dD/dbeta
+    at tau, and beta* = beta(tau*).  The tau bracket starts at [lo, 2 lo], lo
+    half of sigma_z/sqrt(delta), below any achievable error scale.  Raises
+    NonConvergenceError when a root search fails or the scaled residual
+    exceeds SADDLE_TOL * D(tau*, beta*).
     """
     inner_total = 0
-    beta_last = math.nan
+    beta = math.nan
 
-    def g(tau: float) -> float:
-        nonlocal inner_total, beta_last
-        beta_last, value, iters = maximize_over_beta(tau, cfg, p)
-        inner_total += iters
-        return value
+    def d_tau(tau: float) -> float:
+        nonlocal inner_total, beta
+        beta, grad, evals = _beta_root(tau, cfg, p)
+        inner_total += evals
+        return grad
 
     lo = max(1e-6, 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta))
-    tau, value, outer_iters = _expanding_golden_min(
-        g, lo, _TAU_HI_INIT, OUTER_REL_TOL, OUTER_MAX_ITERS, "tau")
-    return ScalarSolution(
-        tau_star=tau,
-        beta_star=beta_last,
-        objective=value,
-        converged=True,
-        outer_iters=outer_iters,
-        inner_iters_total=inner_total,
-    )
+    tau, outer_evals = bracketed_root(d_tau, lo, 2.0 * lo, "tau")
+    g_tau, g_beta = _gradient(tau, beta, cfg, p)
+    value = objective_D(tau, beta, cfg, p)
+    residual = (abs(tau * g_tau), abs(beta * g_beta))
+    if not max(residual) <= SADDLE_TOL * value:
+        raise NonConvergenceError(f"saddle residual {max(residual):.3g} exceeds "
+                                  f"{SADDLE_TOL:g} * D = {value:.6g}", tau=tau, beta=beta)
+    return ScalarSolution(tau_star=tau, beta_star=beta, objective=value, converged=True,
+                          outer_iters=outer_evals, inner_iters_total=inner_total, residual=residual)
 
 
 def predict_mse(sol: ScalarSolution, cfg: ModelConfig, p: Prior) -> float:

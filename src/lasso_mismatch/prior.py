@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import gauss_expect_e, gauss_expect_eta
+from .kernels import _gauss_moments, gauss_expect_e, gauss_expect_eta
 
 __all__ = [
     "Prior",
@@ -105,6 +105,20 @@ def prior_expect_eta_x0(p: Prior, gamma: float, tau: float, chi: float) -> float
         for v, prob in p.atoms
         if v != 0.0
     )
+
+
+def _prior_moments(p: Prior, gamma: float, tau: float, chi: float) -> tuple[float, float, float]:
+    """(E e, E|eta|, P(|a| <= chi)) for a = gamma*X + tau*H; arguments unchecked.
+
+    The saddle solver's root loops call this with tau, chi > 0 by construction.
+    """
+    e = abs_eta = inside = 0.0
+    for v, prob in p.atoms:
+        atom_e, atom_abs_eta, atom_inside = _gauss_moments(gamma * v, tau, chi)
+        e += prob * atom_e
+        abs_eta += prob * atom_abs_eta
+        inside += prob * atom_inside
+    return e, abs_eta, inside
 
 
 def sample_on_support(p: Prior, rng: np.random.Generator, count: int) -> np.ndarray:

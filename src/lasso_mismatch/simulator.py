@@ -174,22 +174,31 @@ def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
     Solves the normal equations A_S^T A_S x_S = A_S^T y - lam s_S on the
     support S of `signs`.  The candidate is returned with its KKT residual
     only if its signs equal `signs` on S (a cheap early exit) and the
-    residual, which certifies it, is within kkt_gate; otherwise None.
+    residual, which certifies it, is within kkt_gate; otherwise None.  A
+    candidate with the right signs that misses the gate gets one step of
+    iterative refinement first: on S the KKT residual is the residual of the
+    normal equations, so the step costs one more solve.
     """
     support = np.flatnonzero(signs)
     if support.size > A.shape[0]:
         return None
     s = signs[support]
     A_s = A[:, support]
+    gram = A_s.T @ A_s
+    x = np.zeros(A.shape[1])
     try:
-        x_s = np.linalg.solve(A_s.T @ A_s, A_s.T @ y - lam * s)
+        x_s = np.linalg.solve(gram, A_s.T @ y - lam * s)
+        for refined in (False, True):
+            if not np.array_equal(np.sign(x_s), s):
+                return None
+            x[support] = x_s
+            grad = A.T @ (A_s @ x_s - y)
+            kkt = _kkt_residual(grad, x, lam)
+            if kkt <= kkt_gate or refined:
+                break
+            x_s = x_s - np.linalg.solve(gram, grad[support] + lam * s)
     except np.linalg.LinAlgError:
         return None
-    if not np.array_equal(np.sign(x_s), s):
-        return None
-    x = np.zeros(A.shape[1])
-    x[support] = x_s
-    kkt = _kkt_residual(A.T @ (A_s @ x_s - y), x, lam)
     return (x, kkt) if kkt <= kkt_gate else None
 
 

@@ -2,11 +2,14 @@
 
 The quadrature oracle integrates the scalar shrinkage functions against the
 standard normal density by adaptive Simpson on [-12, 12]; the truncated tail
-mass is far below the tolerances in play.  The coordinate-descent solver is a
-reference implementation for checking the production LASSO solver, and the
-two-matrix sampler draws instances from the model's defining equations as a
-reference for the simulator's conditional draw; none shares code with the
-package paths they validate.
+mass is far below the tolerances in play.  The nested golden-section saddle
+search minimizes over tau the maximum over beta of a given objective, by
+derivative-free bracket searches, as a reference for the gradient-root
+saddle solver.  The coordinate-descent solver is a reference implementation
+for checking the production LASSO solver, and the two-matrix sampler draws
+instances from the model's defining equations as a reference for the
+simulator's conditional draw; none shares code with the package paths they
+validate.
 """
 
 from __future__ import annotations
@@ -75,6 +78,73 @@ def oracle_expect_eta(mu: float, tau: float, chi: float, tol: float = 1e-11) -> 
     return adaptive_simpson(
         lambda h: _soft(mu + tau * h, chi) * _phi(h), -12.0, 12.0, tol
     )
+
+
+def oracle_expect_abs_eta(mu: float, tau: float, chi: float, tol: float = 1e-11) -> float:
+    """Quadrature value of E_H[|eta(mu + tau*H; chi)|]."""
+    return adaptive_simpson(
+        lambda h: abs(_soft(mu + tau * h, chi)) * _phi(h), -12.0, 12.0, tol
+    )
+
+
+def oracle_prob_inside(mu: float, tau: float, chi: float, tol: float = 1e-11) -> float:
+    """Quadrature value of P(|mu + tau*H| <= chi): phi integrated over the dead zone."""
+    return adaptive_simpson(_phi, (-chi - mu) / tau, (chi - mu) / tau, tol)
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, lo: float, hi: float, rel_tol: float, max_iters: int = 200) -> tuple[float, float]:
+    """(argmin, value) of a unimodal f on [lo, hi], to width rel_tol * max(1, |x|)."""
+    a, b = lo, hi
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iters):
+        if b - a <= rel_tol * max(1.0, abs(0.5 * (a + b))):
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = f(d)
+    else:
+        raise RuntimeError("golden section did not converge")
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def _expanding_golden_min(f, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
+    """Golden section on [lo, hi'], hi' the first doubling of hi past which f rises."""
+    f_hi = f(hi)
+    while True:
+        f_next = f(2.0 * hi)
+        hi *= 2.0
+        if f_next >= f_hi:
+            break
+        f_hi = f_next
+        if hi > 1e6:
+            raise RuntimeError("bracket expansion exceeded 1e6")
+    return _golden_min(f, lo, hi, rel_tol)
+
+
+def golden_saddle(D, tau_lo: float) -> tuple[float, float]:
+    """(tau*, beta*) minimizing tau -> max_beta D(tau, beta) by nested golden sections.
+
+    Inner search over beta from [1e-6, 10] to relative width 1e-10, outer
+    over tau from [tau_lo, 10] to 1e-9, each bracket doubling its upper end
+    while the function still falls.
+    """
+
+    def beta_max(tau: float) -> tuple[float, float]:
+        beta, neg = _expanding_golden_min(lambda b: -D(tau, b), 1e-6, 10.0, 1e-10)
+        return beta, -neg
+
+    tau, _ = _expanding_golden_min(lambda t: beta_max(t)[1], tau_lo, 10.0, 1e-9)
+    return tau, beta_max(tau)[0]
 
 
 def cd_lasso(A: np.ndarray, y: np.ndarray, lam: float,

@@ -142,6 +142,19 @@ class TestRunSweep:
         assert row["mse_emp_mean"] is None
         assert row["nonconverged_trials"] is None
 
+    def test_rows_are_read_only_mappings_of_every_column(self):
+        spec = parse_args(
+            "--delta 0.8 --kappa 0.1 --eps2 0.1 --snr 0.5 --lambda-list 1.201".split()
+        )
+        row = run_sweep(spec)[0]
+        assert tuple(row) == CSV_COLUMNS and len(row) == len(CSV_COLUMNS)
+        assert row == dict(row) and dict(row)["lambda"] == 1.201
+        assert row.get("mse_emp_mean") is None
+        with pytest.raises(KeyError):
+            row["no_such_column"]
+        with pytest.raises(TypeError):
+            row["lambda"] = 1.0
+
     def test_simulate_mode_leaves_theory_empty(self):
         spec = parse_args(
             "--delta 0.8 --kappa 0.1 --eps2 0.1 --snr 0.5 --lambda-list 1.201 "

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lasso_mismatch.kernels import (
+    _gauss_moments,
     gauss_expect_e,
     gauss_expect_eta,
     q_function,
@@ -14,7 +15,7 @@ from lasso_mismatch.kernels import (
     soft_threshold_value,
     std_normal_pdf,
 )
-from oracles import oracle_expect_e, oracle_expect_eta
+from oracles import oracle_expect_abs_eta, oracle_expect_e, oracle_expect_eta, oracle_prob_inside
 
 # frozen oracle values (adaptive Simpson, tol 1e-11)
 ORACLE_E_0_1_HALF = 0.2903607399748979        # mu=0, tau=1, chi=0.5
@@ -183,3 +184,17 @@ class TestGaussExpectations:
                     )
         assert worst_e <= 1e-9
         assert worst_eta <= 1e-9
+
+    def test_moments_match_oracle_grid(self):
+        # E e, E|eta| and P(|a| <= chi), including means past the threshold
+        # on either side
+        oracles = (oracle_expect_e, oracle_expect_abs_eta, oracle_prob_inside)
+        worst = [0.0, 0.0, 0.0]
+        for mu in (0.0, 0.5, -0.5, 1.0, -1.5, 4.0):
+            for tau in (0.1, 0.5, 1.0, 2.0):
+                for chi in (0.05, 0.5, 1.0, 3.0):
+                    got = _gauss_moments(mu, tau, chi)
+                    for i, oracle in enumerate(oracles):
+                        worst[i] = max(worst[i], abs(got[i] - oracle(mu, tau, chi)))
+                    assert got[0] == gauss_expect_e(mu, tau, chi)
+        assert max(worst) <= 1e-9, worst

@@ -1,7 +1,9 @@
-"""Predictor tests: objective identity checks, nested-search certificates
-against brute-force grids, and the exact perfect-knowledge reduction."""
+"""Predictor tests: objective identity checks, the closed-form gradient against
+central differences, saddle certificates against brute-force grids and the
+nested golden-section oracle, and the exact perfect-knowledge reduction."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,13 +11,12 @@ import pytest
 from lasso_mismatch import predictor
 from lasso_mismatch.kernels import q_function
 from lasso_mismatch.predictor import (
-    INNER_MAX_ITERS,
-    INNER_REL_TOL,
-    OUTER_MAX_ITERS,
-    OUTER_REL_TOL,
+    BRACKET_CAP,
+    ROOT_MAX_EVALS,
+    SADDLE_TOL,
     ModelConfig,
     NonConvergenceError,
-    golden_section_min,
+    bracketed_root,
     maximize_over_beta,
     objective_D,
     optimal_lambda,
@@ -24,8 +25,8 @@ from lasso_mismatch.predictor import (
     predict_support,
     solve_scalar,
 )
-from lasso_mismatch.prior import Prior, prior_expect_e, sparse_bernoulli
-from oracles import oracle_expect_e, oracle_expect_eta
+from lasso_mismatch.prior import Prior, _prior_moments, prior_expect_e, sparse_bernoulli
+from oracles import golden_saddle, oracle_expect_e
 
 # frozen independent evaluation of the objective at tau=1, beta=1
 # (delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=1; quadrature expectations)
@@ -33,6 +34,14 @@ D_REFERENCE_POINT = 0.2914360311752436
 
 REF_CFG = ModelConfig(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=1.201)
 REF_PRIOR = sparse_bernoulli(0.1)
+
+# the fig-1 and heavy (delta = 2, eps^2 = 0.5) grids, and a 3-atom prior
+# with a negative atom
+FIG1_CFG = ModelConfig.from_snr(delta=0.8, kappa=0.1, eps2=0.1, snr=0.5, lam=1.0)
+HEAVY_CFG = ModelConfig.from_snr(delta=2.0, kappa=0.1, eps2=0.5, snr=0.5, lam=1.0)
+GRID = tuple(round(0.001 + 0.1 * i, 3) for i in range(60))
+ATOMS_CFG = ModelConfig(delta=0.9, kappa=0.2, eps2=0.1, sigma_z2=0.15, lam=0.4)
+ATOMS_PRIOR = Prior(atoms=((-1.5, 0.08), (0.0, 0.8), (0.5, 0.12)))
 
 
 class TestModelConfig:
@@ -126,13 +135,144 @@ class TestMaximizeOverBeta:
             maximize_over_beta(1e-9, REF_CFG, REF_PRIOR)
 
 
+class TestBracketedRoot:
+    def test_finds_root_and_counts_evaluations(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x ** 3 - 2.0
+
+        root, evals = bracketed_root(f, 0.5, 1.0, "tau")
+        assert abs(root - 2.0 ** (1.0 / 3.0)) <= 1e-12
+        assert evals == len(calls) and root == calls[-1]
+
+    def test_root_at_bracket_end_closes_quickly(self):
+        # the root is within rounding of lo = 1, so the secant point rounds
+        # onto lo; the step kept inside the bracket closes it at once, where
+        # a midpoint fallback would bisect about 40 times
+        root, evals = bracketed_root(lambda x: x - 1.0 - 1e-17, 0.5, 2.0, "tau")
+        assert abs(root - 1.0) <= 1e-12
+        assert evals <= 6
+
+    def test_failures_raise(self, monkeypatch):
+        with pytest.raises(NonConvergenceError, match="not above"):
+            bracketed_root(lambda x: x - 0.1, 0.5, 1.0, "tau")
+        with pytest.raises(NonConvergenceError, match="cap") as err:
+            bracketed_root(lambda x: x - 2.0 * BRACKET_CAP, 0.5, 1.0, "beta", tau=3.0)
+        assert err.value.tau == 3.0 and err.value.beta > BRACKET_CAP
+        with pytest.raises(NonConvergenceError, match="NaN"):
+            bracketed_root(lambda x: math.nan if 0.5 < x < 1.0 else x - 0.7, 0.5, 1.0, "tau")
+        monkeypatch.setattr(predictor, "ROOT_MAX_EVALS", 5)
+        with pytest.raises(NonConvergenceError, match="within 5 evaluations"):
+            bracketed_root(lambda x: x ** 3 - 2.0, 0.5, 1.0, "tau")
+
+
+def _central_gradient(tau, beta, cfg, p, h=1e-5):
+    """(dD/dtau, dD/dbeta) by central differences of objective_D at relative step h."""
+    dt, db = h * tau, h * beta
+    return (
+        (objective_D(tau + dt, beta, cfg, p) - objective_D(tau - dt, beta, cfg, p)) / (2 * dt),
+        (objective_D(tau, beta + db, cfg, p) - objective_D(tau, beta - db, cfg, p)) / (2 * db),
+    )
+
+
+class TestGradient:
+    @pytest.mark.parametrize(
+        "cfg,p",
+        [(FIG1_CFG, REF_PRIOR), (HEAVY_CFG, REF_PRIOR), (ATOMS_CFG, ATOMS_PRIOR)],
+        ids=["fig1", "heavy", "three_atoms"],
+    )
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
+    def test_matches_central_differences(self, cfg, p, lam):
+        cfg = cfg.with_lam(lam)
+        for tau, beta in ((0.3, 0.05), (0.6, 0.9), (1.2, 2.5)):
+            grad = predictor._gradient(tau, beta, cfg, p)
+            for got, want in zip(grad, _central_gradient(tau, beta, cfg, p)):
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (tau, beta)
+
+
 class TestSolveScalar:
     def test_solution_metadata(self):
         sol = solve_scalar(REF_CFG, REF_PRIOR)
         assert sol.converged
         assert sol.tau_star > 0 and sol.beta_star > 0
-        assert sol.outer_iters <= OUTER_MAX_ITERS
-        assert sol.inner_iters_total > 0
+        # root-step counts: each tau evaluation runs one beta root, which
+        # evaluates the gradient at least twice
+        assert 3 <= sol.outer_iters <= ROOT_MAX_EVALS
+        assert 2 * sol.outer_iters <= sol.inner_iters_total <= ROOT_MAX_EVALS * sol.outer_iters
+        assert sol.objective == objective_D(sol.tau_star, sol.beta_star, REF_CFG, REF_PRIOR)
+        g_tau, g_beta = predictor._gradient(sol.tau_star, sol.beta_star, REF_CFG, REF_PRIOR)
+        assert sol.residual == (abs(sol.tau_star * g_tau), abs(sol.beta_star * g_beta))
+        assert max(sol.residual) <= SADDLE_TOL * sol.objective
+
+    def test_residual_out_of_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(predictor, "SADDLE_TOL", 1e-30)
+        with pytest.raises(NonConvergenceError, match="saddle residual"):
+            solve_scalar(REF_CFG, REF_PRIOR)
+
+    @pytest.mark.parametrize(
+        "cfg,p",
+        [(FIG1_CFG, REF_PRIOR), (HEAVY_CFG, REF_PRIOR)],
+        ids=["fig1", "heavy"],
+    )
+    def test_calibration_identity(self, cfg, p):
+        # eliminating beta from the two stationarity conditions gives
+        # beta* = 2 tau* (delta - P(|a| > chi*))
+        for lam in GRID:
+            c = cfg.with_lam(lam)
+            sol = solve_scalar(c, p)
+            chi = 2.0 * lam * sol.tau_star / sol.beta_star
+            inside = _prior_moments(p, c.gamma, sol.tau_star, chi)[2]
+            identity = 2.0 * sol.tau_star * (c.delta - (1.0 - inside))
+            assert abs(sol.beta_star - identity) <= 1e-9 * sol.beta_star, lam
+
+    def test_certified_across_parameter_ranges(self):
+        # delta in [0.1, 5], eps^2 up to 0.99, sigma_z^2 in [1e-4, 10], lambda in
+        # [1e-4, 1e3], sparse Bernoulli and multi-atom priors: every solve is
+        # certified, including small lambda at delta > 1, where the beta root
+        # sits on its analytic lower bound within rounding
+        rng = random.Random(3)
+        for _ in range(150):
+            if rng.random() < 0.5:
+                p = sparse_bernoulli(rng.uniform(0.01, 0.9))
+            else:
+                values = sorted({round(rng.uniform(-3.0, 3.0), 3) for _ in range(3)} | {0.0})
+                weights = [rng.uniform(0.05, 1.0) for _ in values]
+                probs = [w / sum(weights) for w in weights[:-1]]
+                p = Prior(atoms=tuple(zip(values, probs + [1.0 - sum(probs)])))
+            cfg = ModelConfig(
+                delta=math.exp(rng.uniform(math.log(0.1), math.log(5.0))),
+                kappa=1.0 - p.zero_mass(),
+                eps2=rng.uniform(0.0, 0.99),
+                sigma_z2=math.exp(rng.uniform(math.log(1e-4), math.log(10.0))),
+                lam=math.exp(rng.uniform(math.log(1e-4), math.log(1e3))),
+            )
+            sol = solve_scalar(cfg, p)
+            assert max(sol.residual) <= SADDLE_TOL * sol.objective, cfg
+        # a draw whose tau search meets tau = 0.00386, where the beta root
+        # lies on its lower bound 166.22 within rounding
+        cfg = ModelConfig(delta=3.692916709345302, kappa=0.6612400753578219,
+                          eps2=0.9687183932620014, sigma_z2=0.00021954784761925747,
+                          lam=0.00010524391941916067)
+        solve_scalar(cfg, sparse_bernoulli(cfg.kappa))
+
+    @pytest.mark.parametrize(
+        "cfg,p",
+        [
+            (FIG1_CFG.with_lam(0.101), REF_PRIOR),
+            (FIG1_CFG.with_lam(1.201), REF_PRIOR),
+            (HEAVY_CFG.with_lam(0.401), REF_PRIOR),
+            (ATOMS_CFG, ATOMS_PRIOR),
+        ],
+        ids=["fig1-0.101", "fig1-1.201", "heavy-0.401", "three_atoms"],
+    )
+    def test_matches_golden_section_oracle(self, cfg, p):
+        tau_lo = max(1e-6, 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta))
+        tau, beta = golden_saddle(lambda t, b: objective_D(t, b, cfg, p), tau_lo)
+        sol = solve_scalar(cfg, p)
+        assert abs(sol.tau_star - tau) <= 1e-6 * tau
+        assert abs(sol.beta_star - beta) <= 1e-6 * beta
 
     @pytest.mark.parametrize(
         "cfg",
@@ -185,48 +325,33 @@ class TestPredictions:
 
     def test_perfect_knowledge_reduction_exact(self):
         # an independently assembled perfect-knowledge pipeline, built from the
-        # same search primitive and the reduced objective, must agree bitwise
+        # same root primitive and the reduced gradient, must agree bitwise
         cfg = ModelConfig(delta=0.8, kappa=0.1, eps2=0.0, sigma_z2=0.2, lam=1.0)
         p = REF_PRIOR
 
-        def reduced_D(tau, beta):
+        def reduced_gradient(tau, beta):
+            # gamma = 1 and eps = 0, so s^2 = sigma_z^2
             chi = 2.0 * cfg.lam * tau / beta
-            return (
-                0.5 * beta * tau * (cfg.delta - 1.0)
-                + 0.5 * beta * cfg.sigma_z2 / tau
-                - 0.25 * beta * beta
-                + (beta / tau) * prior_expect_e(p, 1.0, tau, chi)
-            )
+            e, abs_eta, inside = _prior_moments(p, 1.0, tau, chi)
+            w = (0.5 * cfg.sigma_z2 + e - chi * abs_eta) / tau
+            half = 0.5 * (cfg.delta - 1.0)
+            return beta * (half + inside - w / tau), tau * half + w - 0.5 * beta
 
-        def reduced_max_beta(tau):
-            lo, hi = 1e-6, 10.0
-            f_hi = -reduced_D(tau, hi)
-            while True:
-                f_next = -reduced_D(tau, 2.0 * hi)
-                if f_next >= f_hi:
-                    hi *= 2.0
-                    break
-                hi *= 2.0
-                f_hi = f_next
-            b, neg, _, _ = golden_section_min(
-                lambda b: -reduced_D(tau, b), lo, hi, INNER_REL_TOL, INNER_MAX_ITERS
-            )
-            return b, -neg
+        last = {}
+
+        def reduced_beta_root(tau):
+            def f(beta):
+                last["d_tau"], d_beta = reduced_gradient(tau, beta)
+                return -d_beta
+
+            hi = tau * cfg.delta + (cfg.sigma_z2 + p.second_moment()) / tau
+            lo = max(0.5 * (tau * (cfg.delta - 1.0) + cfg.sigma_z2 / tau), 1e-9 * hi)
+            last["beta"], _ = bracketed_root(f, lo, hi, "beta")
+            return last["d_tau"]
 
         lo = max(1e-6, 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta))
-        hi = 10.0
-        g_hi = reduced_max_beta(hi)[1]
-        while True:
-            g_next = reduced_max_beta(2.0 * hi)[1]
-            if g_next >= g_hi:
-                hi *= 2.0
-                break
-            hi *= 2.0
-            g_hi = g_next
-        tau_ref, _, _, _ = golden_section_min(
-            lambda t: reduced_max_beta(t)[1], lo, hi, OUTER_REL_TOL, OUTER_MAX_ITERS
-        )
-        beta_ref, _ = reduced_max_beta(tau_ref)
+        tau_ref, _ = bracketed_root(reduced_beta_root, lo, 2.0 * lo, "tau")
+        beta_ref = last["beta"]
 
         sol = solve_scalar(cfg, p)
         assert sol.tau_star == tau_ref
@@ -308,7 +433,7 @@ class TestOptimalLambda:
 
     def test_iteration_cap_raises(self, monkeypatch):
         # a quadratic stand-in for the predicted MSE isolates the lambda search
-        # from the saddle solves, which have the same iteration cap
+        # from the saddle solves
         monkeypatch.setattr(predictor, "solve_scalar", lambda cfg, p: cfg)
         monkeypatch.setattr(predictor, "predict_mse", lambda cfg, c, p: (c.lam - 0.7) ** 2)
         lam_opt, _ = optimal_lambda(REF_CFG, REF_PRIOR, (0.5, 1.0))

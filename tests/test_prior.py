@@ -7,12 +7,13 @@ import pytest
 
 from lasso_mismatch.prior import (
     Prior,
+    _prior_moments,
     prior_expect_e,
     prior_expect_eta_x0,
     sample_on_support,
     sparse_bernoulli,
 )
-from oracles import oracle_expect_e, oracle_expect_eta
+from oracles import oracle_expect_abs_eta, oracle_expect_e, oracle_expect_eta, oracle_prob_inside
 
 # frozen oracle values (adaptive Simpson, tol 1e-11)
 PRIOR_E_SB01 = 0.20060927601425        # sb(0.1), gamma=sqrt(0.9), tau=0.6, chi=0.8
@@ -93,6 +94,16 @@ class TestExpectations:
             w * oracle_expect_e(gamma * v, tau, chi) for v, w in p.atoms
         )
         assert prior_expect_e(p, gamma, tau, chi) == pytest.approx(per_atom, abs=1e-9)
+
+    def test_moments_mixture_vs_oracle(self):
+        p = Prior(atoms=((-2.0, 0.2), (0.0, 0.5), (1.5, 0.3)))
+        gamma, tau, chi = 0.95, 0.8, 0.7
+        oracles = (oracle_expect_e, oracle_expect_abs_eta, oracle_prob_inside)
+        got = _prior_moments(p, gamma, tau, chi)
+        for value, oracle in zip(got, oracles):
+            per_atom = sum(w * oracle(gamma * v, tau, chi) for v, w in p.atoms)
+            assert value == pytest.approx(per_atom, abs=1e-9)
+        assert got[0] == pytest.approx(prior_expect_e(p, gamma, tau, chi), abs=1e-15)
 
     def test_argument_validation(self):
         p = sparse_bernoulli(0.1)

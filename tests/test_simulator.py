@@ -285,6 +285,37 @@ class TestPolish:
         assert res.iters < 5000
 
 
+    def test_refinement_lets_a_badly_scaled_solve_converge(self, monkeypatch):
+        # at lambda = 1e-6 ||A^T y||_inf on this 64 x 62 problem (cond 574) the
+        # exact solve on the right sign pattern misses the 64-ulp gate floor by
+        # rounding alone; without the refinement step all 29 exact-solve
+        # attempts were rejected and FISTA did not finish in 5000 steps
+        returned = []
+        polish = simulator._polish
+
+        def spy(*args):
+            out = polish(*args)
+            if out is not None:
+                returned.append(out)
+            return out
+
+        monkeypatch.setattr(simulator, "_polish", spy)
+        rng = np.random.default_rng(10)
+        m = int(rng.integers(6, 81))
+        n = int(rng.integers(2, m + 1))
+        scale = 10 ** rng.uniform(-3, 3)
+        A = rng.normal(0.0, scale, (m, n))
+        y = rng.normal(0.0, scale, m)
+        assert (m, n) == (64, 62)
+        aty = float(np.max(np.abs(A.T @ y)))
+        res = solve_lasso(A, y, 1e-6 * aty, max_iter=5000)
+        assert returned, "the exact solve on the support was never accepted"
+        assert res.x_hat is returned[-1][0]
+        assert res.converged
+        assert res.iters < 5000
+        assert res.kkt_residual <= 64 * np.finfo(float).eps * aty
+
+
 class TestEmpiricalMetrics:
     def _tiny_instance(self):
         n, m = 4, 3
