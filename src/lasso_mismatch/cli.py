@@ -3,8 +3,8 @@
 Each row of the output covers one lambda: the scalar-theory predictions, the
 Monte Carlo measurements, or both.  Absent columns are left empty rather than
 zero-filled.  `run_sweep` returns each row as a `SweepRow`, a read-only
-mapping from every CSV column to its value or None.  Exit codes: 0 success, 1 usage error, 2 computation error,
-3 I/O error.
+mapping from every CSV column to its value or None.  Exit codes: 0 success,
+1 usage error, 2 computation error, 3 I/O error.
 """
 
 from __future__ import annotations

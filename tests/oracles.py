@@ -95,7 +95,8 @@ def oracle_prob_inside(mu: float, tau: float, chi: float, tol: float = 1e-11) ->
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(f, lo: float, hi: float, rel_tol: float, max_iters: int = 200) -> tuple[float, float]:
+def _golden_min(f, lo: float, hi: float, rel_tol: float,
+                max_iters: int = 200) -> tuple[float, float]:
     """(argmin, value) of a unimodal f on [lo, hi], to width rel_tol * max(1, |x|)."""
     a, b = lo, hi
     c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
