@@ -4,11 +4,14 @@ Instances follow y = H x0 + z, where the solver sees only A = gamma H + eps Omeg
 with gamma^2 + eps^2 = 1.  Given A, H = gamma A + eps G with G independent of A,
 so y = gamma A x0 + s xi with s^2 = sigma_z2 + eps^2 ||x0||^2 / n and xi ~ N(0, I).
 The LASSO (1/2)||y - A x||^2 + lam ||x||_1 is solved by accelerated proximal
-gradient with adaptive restart (FISTA).  Its step is certified by
-Beck-Teboulle backtracking from a power-iteration estimate of ||A||_2^2, it
-carries A x and A w so an iteration costs two matrix-vector products, and
-once the sign pattern of the iterate settles it tries the exact solution on
-that pattern, returned only if it passes the KKT gate.
+gradient with adaptive restart (FISTA).  Its step constant L starts from a
+few power steps on A^T A and adapts every iteration: it first tries a
+smaller L and doubles it until the Beck-Teboulle sufficient-decrease test
+certifies the step (Scheinberg, Goldfarb & Bai 2014 let L decrease).  It
+carries A x and A w so an iteration costs two matrix-vector products plus
+one per failed test, and once the sign pattern of the iterate settles it
+tries the exact solution on that pattern, returned only if it passes the
+KKT gate.
 
 The Monte Carlo loop runs over trials first, then over lambda: instances do
 not depend on lambda, so each trial draws its instance once, from a
@@ -60,13 +63,21 @@ class Instance:
 
 @dataclass(frozen=True)
 class LassoResult:
-    """Solution, iteration count, KKT residual, and the final step constant L."""
+    """Solution, iteration count, KKT residual and the final step constant L.
+
+    `matvecs` counts every product with A or A^T the solve took: power
+    steps, gradients, backtracking retries, KKT checks and exact-solve
+    products.  `polished` is True when the solve ended in the exact solve
+    on the settled sign pattern.
+    """
 
     x_hat: np.ndarray
     iters: int
     kkt_residual: float
     converged: bool
     lipschitz: float
+    matvecs: int
+    polished: bool
 
 
 @dataclass(frozen=True)
@@ -127,26 +138,28 @@ def generate_instance(
     return Instance(x0=x0, A=A, y=y, support=support)
 
 
-def _spectral_norm_sq(A: np.ndarray) -> float:
-    """Estimate of the largest squared singular value, by power iteration on A^T A.
+# power steps for the start value of the step constant L
+_POWER_STEPS = 5
 
-    The estimate is a lower bound that may fall short of ||A||_2^2, and it
-    is 0 when the flat start vector lies in the null space of A; the step
-    size is certified by backtracking in `solve_lasso`, not by this value.
+
+def _spectral_norm_sq(A: np.ndarray) -> float:
+    """Start value for the step constant: `_POWER_STEPS` power steps on A^T A.
+
+    The estimate is a lower bound on ||A||_2^2 that may fall well short of
+    it, and it is 0 when the flat start vector lies in the null space of A.
+    It is only a start: `solve_lasso` certifies every step by backtracking
+    and moves L down as well as up, so a converged estimate buys nothing.
     """
     n = A.shape[1]
     v = np.full(n, 1.0 / math.sqrt(n))
     s = 0.0
-    s_prev = 0.0
-    for _ in range(30):
+    for _ in range(_POWER_STEPS):
         w = A.T @ (A @ v)
         s = float(np.linalg.norm(w))
         if s == 0.0:
+            # only the start vector can be annihilated: w lies in range(A^T A)
             return 0.0
         v = w / s
-        if abs(s - s_prev) <= 1e-10 * s:
-            break
-        s_prev = s
     return s
 
 
@@ -159,6 +172,8 @@ def _kkt_residual(g: np.ndarray, x: np.ndarray, lam: float) -> float:
     return max(r_zero, r_active)
 
 
+# each iteration first tries L times this, so L can come back down
+_L_SHRINK = 0.9
 # iterations with an unchanged sign pattern before the exact solve on it is tried
 _POLISH_AFTER = 5
 # steps below this share of the iterate's norm are within rounding of A d
@@ -168,38 +183,41 @@ _KKT_FLOOR = 64.0 * np.finfo(float).eps
 
 
 def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
-            kkt_gate: float) -> tuple[np.ndarray, float] | None:
+            kkt_gate: float) -> tuple[tuple[np.ndarray, float] | None, int]:
     """Exact LASSO solution for the sign pattern `signs`, if it is the optimum.
 
     Solves the normal equations A_S^T A_S x_S = A_S^T y - lam s_S on the
-    support S of `signs`.  The candidate is returned with its KKT residual
-    only if its signs equal `signs` on S (a cheap early exit) and the
-    residual, which certifies it, is within kkt_gate; otherwise None.  A
-    candidate with the right signs that misses the gate gets one step of
-    iterative refinement first: on S the KKT residual is the residual of the
-    normal equations, so the step costs one more solve.
+    support S of `signs`.  The candidate (x, KKT residual) is returned only
+    if its signs equal `signs` on S (a cheap early exit) and the residual,
+    which certifies it, is within kkt_gate; otherwise None.  A candidate
+    with the right signs that misses the gate gets one step of iterative
+    refinement first: on S the KKT residual is the residual of the normal
+    equations, so the step costs one more solve.  The second value counts
+    the products with A, A^T or A_S taken, the Gram matrix as one.
     """
     support = np.flatnonzero(signs)
     if support.size > A.shape[0]:
-        return None
+        return None, 0
     s = signs[support]
     A_s = A[:, support]
     gram = A_s.T @ A_s
+    products = 2
     x = np.zeros(A.shape[1])
     try:
         x_s = np.linalg.solve(gram, A_s.T @ y - lam * s)
         for refined in (False, True):
             if not np.array_equal(np.sign(x_s), s):
-                return None
+                return None, products
             x[support] = x_s
             grad = A.T @ (A_s @ x_s - y)
+            products += 2
             kkt = _kkt_residual(grad, x, lam)
             if kkt <= kkt_gate or refined:
                 break
             x_s = x_s - np.linalg.solve(gram, grad[support] + lam * s)
     except np.linalg.LinAlgError:
-        return None
-    return (x, kkt) if kkt <= kkt_gate else None
+        return None, products
+    return ((x, kkt) if kkt <= kkt_gate else None), products
 
 
 def solve_lasso(
@@ -213,22 +231,23 @@ def solve_lasso(
     """Minimize (1/2)||y - A x||^2 + lam ||x||_1 by accelerated proximal gradient.
 
     The step is 1/L, and the proximal map is soft thresholding at lam/L.
-    L starts from `lipschitz`, or from a power-iteration estimate of
-    ||A||_2^2 when it is None, and is doubled whenever the Beck-Teboulle
-    sufficient-decrease test fails, so every accepted step is certified;
-    it never exceeds ||A||_F^2, which bounds ||A||_2^2 from above.
+    L starts from `lipschitz`, or from a few power steps on A^T A when it is
+    None.  Each iteration first tries L times 0.9 and doubles it until the
+    Beck-Teboulle sufficient-decrease test holds, so every accepted step is
+    certified while L follows the curvature along the steps actually taken,
+    down as well as up; L never exceeds ||A||_F^2, which bounds ||A||_2^2.
     The products A x and A w are carried through the iterations, so an
-    iteration costs two matrix-vector products.  Once the sign pattern of
-    the iterate has held for a few iterations, the exact solution on that
-    pattern is tried and returned if it passes the KKT gate.  Iterations
-    stop once the relative objective change falls below tol and the KKT
-    residual is within the gate 10*tol*lam, floored at 64 ulps of
-    ||A^T y||_inf, below which the residual is rounding; hitting max_iter
-    with a larger residual flags the result as non-converged (it is still
-    returned).
+    iteration costs two matrix-vector products plus one per failed test.
+    Once the sign pattern of the iterate has held for a few iterations, the
+    exact solution on that pattern is tried and returned if it passes the
+    KKT gate.  Iterations stop once the relative objective change falls
+    below tol and the KKT residual is within the gate 10*tol*lam, floored at
+    64 ulps of ||A^T y||_inf, below which the residual is rounding; hitting
+    max_iter with a larger residual flags the result as non-converged (it
+    is still returned).
     """
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     m, n = A.shape
     if y.shape != (m,):
         raise ValueError(f"y has shape {y.shape}, expected ({m},)")
@@ -241,7 +260,13 @@ def solve_lasso(
     L_max = float(col_sq.sum())
     if not math.isfinite(L_max):
         raise ValueError("measurement matrix must be finite")
-    L = _spectral_norm_sq(A) if lipschitz is None else lipschitz
+    matvecs = 0
+    if lipschitz is None:
+        L = _spectral_norm_sq(A)
+        # a flat start in the null space of A stops after the first step
+        matvecs = 2 * _POWER_STEPS if L > 0.0 else 2
+    else:
+        L = lipschitz
     if not L > 0.0:
         # a start below ||A||_2^2 is corrected by backtracking; the largest
         # squared column norm is one, and it is positive for nonzero A
@@ -261,13 +286,16 @@ def solve_lasso(
     for k in range(1, max_iter + 1):
         iters = k
         grad = A.T @ (Aw - y)
+        matvecs += 1
         if k == 1:
             # the first gradient is -A^T y
             kkt_gate = max(kkt_gate, _KKT_FLOOR * float(np.abs(grad).max()))
+        L *= _L_SHRINK
         while True:
             step = w - grad / L
             x_new = np.sign(step) * np.maximum(np.abs(step) - lam / L, 0.0)
             Ax_new = A @ x_new
+            matvecs += 1
             # sufficient decrease f(x_new) <= f(w) + grad.d + (L/2)|d|^2 of the
             # quadratic part f, which is exactly |A d|^2 <= L |d|^2.  A d is a
             # difference of carried products, so |d| is floored at the
@@ -295,18 +323,22 @@ def solve_lasso(
         x, Ax, t, f_prev, signs = x_new, Ax_new, t_new, f, signs_new
         if small_change:
             kkt = _kkt_residual(A.T @ r, x, lam)
+            matvecs += 1
             if kkt <= kkt_gate:
                 break
         if stable == _POLISH_AFTER:
-            polished = _polish(A, y, lam, signs, kkt_gate)
+            polished, products = _polish(A, y, lam, signs, kkt_gate)
+            matvecs += products
             if polished is not None:
                 return LassoResult(x_hat=polished[0], iters=iters, kkt_residual=polished[1],
-                                   converged=True, lipschitz=L)
+                                   converged=True, lipschitz=L, matvecs=matvecs,
+                                   polished=True)
     if not math.isfinite(kkt) or iters == max_iter:
         kkt = _kkt_residual(A.T @ (Ax - y), x, lam)
+        matvecs += 1
     converged = iters < max_iter or kkt <= kkt_gate
     return LassoResult(x_hat=x, iters=iters, kkt_residual=kkt, converged=converged,
-                       lipschitz=L)
+                       lipschitz=L, matvecs=matvecs, polished=False)
 
 
 def empirical_metrics(
@@ -401,8 +433,9 @@ def run_grid(
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     lambdas = tuple(lambdas)
-    if not lambdas or min(lambdas) <= 0.0:
-        raise ValueError(f"lambdas must be a nonempty list of positive values, got {lambdas}")
+    if not lambdas or not all(0.0 < lam < math.inf for lam in lambdas):
+        raise ValueError(
+            f"lambdas must be a nonempty list of positive finite values, got {lambdas}")
 
     def trial(i: int) -> list[TrialResult]:
         return _run_trial(cfg, p, n, xi, seed, i, lambdas, tol, max_iter)

@@ -157,6 +157,9 @@ class TestSolveLasso:
             solve_lasso(np.eye(4), np.array([1.0, np.nan, 0.0, 0.0]), 1.0)
         with pytest.raises(ValueError, match="finite"):
             solve_lasso(np.diag([1.0, np.inf, 1.0, 1.0]), np.ones(4), 1.0)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="lam"):
+                solve_lasso(np.eye(4), np.ones(4), lam)
 
 
 class TestStepCertification:
@@ -212,6 +215,77 @@ class TestStepCertification:
         res = solve_lasso(A, y, lam, max_iter=2000)
         assert res.lipschitz <= 2 * np.linalg.norm(A, 2) ** 2
 
+    def test_step_constant_comes_back_down(self):
+        # a start far above the curvature is capped at ||A||_F^2 (about 7
+        # ||A||_2^2 here); each iteration tries L * 0.9 first, so L falls to
+        # the scale of ||A||_2^2 while every accepted step stays certified
+        rng = np.random.default_rng(4)
+        A = rng.normal(0.0, 1.0, (20, 40)) / math.sqrt(40)
+        x = np.zeros(40)
+        x[rng.choice(40, 4, replace=False)] = rng.normal(0, 1, 4)
+        y = A @ x + 0.05 * rng.normal(0, 1, 20)
+        lam = 0.05
+        exact = np.linalg.norm(A, 2) ** 2
+        assert float(np.sum(A * A)) > 4 * exact
+        res = solve_lasso(A, y, lam, lipschitz=100 * exact)
+        assert res.converged
+        assert res.lipschitz <= 2 * exact
+        ref = cd_lasso(A, y, lam)
+        assert lasso_objective(A, y, lam, res.x_hat) == pytest.approx(
+            lasso_objective(A, y, lam, ref), abs=1e-8)
+        assert np.max(np.abs(res.x_hat - ref)) <= 1e-8
+
+    def test_power_start_takes_five_steps(self):
+        # on diag(1, 1/2) from the flat start, k power steps give
+        # |D^(2k) 1| / |D^(2k-2) 1|, a different value for each k
+        A = np.diag([1.0, 0.5])
+        step = [math.sqrt(1.0 + 0.25 ** (2 * k)) / math.sqrt(1.0 + 0.25 ** (2 * k - 2))
+                for k in (4, 5, 6)]
+        assert _spectral_norm_sq(A) == pytest.approx(step[1], rel=1e-14)
+        assert abs(step[1] - step[0]) > 1e-5 and abs(step[2] - step[1]) > 1e-6
+
+
+class _CountingMatrix(np.ndarray):
+    """An array that counts its matrix products; slices and A.T count too."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+
+class TestSolveCounts:
+    def _count(self, A, y, lam):
+        _CountingMatrix.products = 0
+        res = solve_lasso(A.view(_CountingMatrix), y, lam)
+        return res, _CountingMatrix.products
+
+    def test_matvecs_count_every_product(self):
+        rng = np.random.default_rng(11)
+        cfg = CFG.with_lam(0.05)
+        inst = generate_instance(cfg, PRIOR, 64, rng)
+        res, products = self._count(inst.A, inst.y, cfg.lam)
+        assert res.polished
+        assert res.matvecs == products
+        # two products per iteration, the power start, and at least one
+        # backtracking retry or exact solve on top
+        assert res.matvecs > 2 * res.iters + 10
+        plain = solve_lasso(inst.A, inst.y, cfg.lam)
+        assert np.array_equal(plain.x_hat, res.x_hat)
+        assert (plain.matvecs, plain.polished) == (res.matvecs, res.polished)
+
+    def test_fista_exit_is_not_polished(self):
+        # above lam_max the zero start is optimal: power start, one gradient,
+        # one step and one KKT check
+        rng = np.random.default_rng(2)
+        inst = generate_instance(CFG, PRIOR, 64, rng)
+        lam = 1.000001 * float(np.max(np.abs(inst.A.T @ inst.y)))
+        res, products = self._count(inst.A, inst.y, lam)
+        assert not res.polished
+        assert res.iters == 1
+        assert res.matvecs == products == 2 * 5 + 3
+
 
 class TestKktGate:
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -236,8 +310,8 @@ class TestPolish:
 
         def spy(*args):
             out = polish(*args)
-            if out is not None:
-                returned.append(out)
+            if out[0] is not None:
+                returned.append(out[0])
             return out
 
         monkeypatch.setattr(simulator, "_polish", spy)
@@ -260,13 +334,13 @@ class TestPolish:
         gate = 10 * 1e-10 * cfg.lam
         signs = np.sign(cd_lasso(inst.A, inst.y, cfg.lam))
         active = np.flatnonzero(signs)
-        assert simulator._polish(inst.A, inst.y, cfg.lam, signs, gate) is not None
+        assert simulator._polish(inst.A, inst.y, cfg.lam, signs, gate)[0] is not None
         dropped = signs.copy()
         dropped[active[np.argmax(np.abs(inst.A[:, active].T @ inst.y))]] = 0.0
         flipped = signs.copy()
         flipped[active[0]] *= -1.0
         for wrong in (dropped, flipped):
-            assert simulator._polish(inst.A, inst.y, cfg.lam, wrong, gate) is None
+            assert simulator._polish(inst.A, inst.y, cfg.lam, wrong, gate)[0] is None
 
     def test_full_square_support_is_solved(self):
         # with |S| = m the restricted system is square and generically
@@ -295,8 +369,8 @@ class TestPolish:
 
         def spy(*args):
             out = polish(*args)
-            if out is not None:
-                returned.append(out)
+            if out[0] is not None:
+                returned.append(out[0])
             return out
 
         monkeypatch.setattr(simulator, "_polish", spy)
@@ -434,9 +508,9 @@ class TestRunGrid:
         assert len(calls) == 4
 
     def test_validation(self):
-        for bad in ((), (0.5, 0.0)):
-            with pytest.raises(ValueError):
-                run_grid(CFG, PRIOR, n=64, trials=1, xi=1e-3, seed=0, lambdas=bad)
+        for bad in ((), (0.5, 0.0), (math.nan,), (0.5, math.inf)):
+            with pytest.raises(ValueError, match="lambdas"):
+                run_grid(CFG, PRIOR, n=64, trials=1, xi=1e-3, seed=0, lambdas=bad, max_iter=50)
 
 
 class TestConvergenceInProblemSize:
