@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from array import array
 from collections.abc import Mapping
@@ -124,14 +125,23 @@ class SweepSpec:
             raise UsageError("lambda grid is empty")
         prev = 0.0
         for lam in self.lambda_grid:
-            if lam <= prev:
-                raise UsageError("lambda grid must be strictly increasing and positive")
+            # NaN fails every comparison, so this rejects it too
+            if not prev < lam < math.inf:
+                raise UsageError(
+                    "lambda grid must be strictly increasing, positive and finite, "
+                    f"got {self.lambda_grid}")
             prev = lam
         if self.mode in ("simulate", "both"):
             if self.n is None or self.trials is None:
                 raise UsageError(f"mode {self.mode} requires --n and --trials")
-        if self.xi <= 0.0:
-            raise UsageError(f"xi must be positive, got {self.xi}")
+            if self.n < 8:
+                raise UsageError(f"n must be at least 8, got {self.n}")
+            if self.trials < 1:
+                raise UsageError(f"trials must be at least 1, got {self.trials}")
+            if self.seed < 0:
+                raise UsageError(f"seed must be nonnegative, got {self.seed}")
+        if not 0.0 < self.xi < math.inf:
+            raise UsageError(f"xi must be positive and finite, got {self.xi}")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -11,7 +11,10 @@ certifies the step (Scheinberg, Goldfarb & Bai 2014 let L decrease).  It
 carries A x and A w so an iteration costs two matrix-vector products plus
 one per failed test, and once the sign pattern of the iterate settles it
 tries the exact solution on that pattern, returned only if it passes the
-KKT gate.
+KKT gate.  When that solve is rejected, a bounded feature-sign active-set
+search (Lee, Battle, Raina & Ng 2007) corrects the pattern from the iterate,
+and the exact solution on the corrected pattern faces the same gate; FISTA
+goes on only when both fail.
 
 The Monte Carlo loop runs over trials first, then over lambda: instances do
 not depend on lambda, so each trial draws its instance once, from a
@@ -66,9 +69,11 @@ class LassoResult:
     """Solution, iteration count, KKT residual and the final step constant L.
 
     `matvecs` counts every product with A or A^T the solve took: power
-    steps, gradients, backtracking retries, KKT checks and exact-solve
-    products.  `polished` is True when the solve ended in the exact solve
-    on the settled sign pattern.
+    steps, gradients, backtracking retries, KKT checks, exact-solve and
+    active-set search products.  `exact_solves` counts the dense
+    factorizations: each solve of an exact-solve attempt and the two
+    half-size inverses each search starts from.  `polished` is True when
+    the solve ended in the exact solve on a sign pattern.
     """
 
     x_hat: np.ndarray
@@ -77,6 +82,7 @@ class LassoResult:
     converged: bool
     lipschitz: float
     matvecs: int
+    exact_solves: int
     polished: bool
 
 
@@ -183,7 +189,7 @@ _KKT_FLOOR = 64.0 * np.finfo(float).eps
 
 
 def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
-            kkt_gate: float) -> tuple[tuple[np.ndarray, float] | None, int]:
+            kkt_gate: float) -> tuple[tuple[np.ndarray, float] | None, int, int]:
     """Exact LASSO solution for the sign pattern `signs`, if it is the optimum.
 
     Solves the normal equations A_S^T A_S x_S = A_S^T y - lam s_S on the
@@ -192,32 +198,219 @@ def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
     which certifies it, is within kkt_gate; otherwise None.  A candidate
     with the right signs that misses the gate gets one step of iterative
     refinement first: on S the KKT residual is the residual of the normal
-    equations, so the step costs one more solve.  The second value counts
-    the products with A, A^T or A_S taken, the Gram matrix as one.
+    equations, so the step costs one more solve.  The candidate depends
+    only on (A, y, lam, signs), not on how the pattern was found.  The
+    second value counts the products with A, A^T or A_S taken, the Gram
+    matrix as one, and the third the dense solves.
     """
     support = np.flatnonzero(signs)
     if support.size > A.shape[0]:
-        return None, 0
+        return None, 0, 0
     s = signs[support]
     A_s = A[:, support]
     gram = A_s.T @ A_s
     products = 2
+    solves = 1
     x = np.zeros(A.shape[1])
     try:
         x_s = np.linalg.solve(gram, A_s.T @ y - lam * s)
         for refined in (False, True):
             if not np.array_equal(np.sign(x_s), s):
-                return None, products
+                return None, products, solves
             x[support] = x_s
             grad = A.T @ (A_s @ x_s - y)
             products += 2
             kkt = _kkt_residual(grad, x, lam)
             if kkt <= kkt_gate or refined:
                 break
+            solves += 1
             x_s = x_s - np.linalg.solve(gram, grad[support] + lam * s)
     except np.linalg.LinAlgError:
-        return None, products
-    return ((x, kkt) if kkt <= kkt_gate else None), products
+        return None, products, solves
+    return ((x, kkt) if kkt <= kkt_gate else None), products, solves
+
+
+# feature-sign steps the active-set search takes before it gives up
+_SEARCH_STEPS = 32
+# a column whose Schur complement is below this share of its squared norm is
+# (numerically) in the span of the active columns
+_PIVOT_FLOOR = 1e-10
+
+
+def _gram_inverse(A: np.ndarray, support: np.ndarray, cap: int) -> np.ndarray:
+    """A cap x cap array whose [:k, :k] block, k = |S|, is the inverse of G = A_S^T A_S.
+
+    It is formed by 2x2 blocks: with G = [[P, Q], [Q^T, R]], W = P^-1 Q and
+    the Schur complement C = R - Q^T W, G^-1 = [[P^-1 + W C^-1 W^T, -W C^-1],
+    [-C^-1 W^T, C^-1]].  A dense inverse works on a copy of its input and an
+    identity of the same size, so two half-size inverses need a quarter of
+    the workspace of one full one, and the Gram matrix is formed in the
+    storage of the result.  Raises LinAlgError when a block is singular.
+    """
+    k = support.size
+    h = k // 2
+    out = np.empty((cap, cap))
+    a_s = A[:, support]
+    out[:k, :k] = a_s.T @ a_s
+    del a_s
+    gram = out[:k, :k]
+    p_inv = np.linalg.inv(gram[:h, :h])
+    w = p_inv @ gram[:h, h:]
+    c_inv = np.linalg.inv(gram[h:, h:] - gram[h:, :h] @ w)
+    out[h:k, h:k] = c_inv
+    np.matmul(w, c_inv, out=out[:h, h:k])
+    np.matmul(out[:h, h:k], w.T, out=out[:h, :h])
+    out[:h, :h] += p_inv
+    out[:h, h:k] *= -1.0
+    out[h:k, :h] = out[:h, h:k].T
+    return out
+
+
+def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
+                  r: np.ndarray, aty: np.ndarray,
+                  kkt_gate: float) -> tuple[np.ndarray | None, int, int]:
+    """Sign pattern of the LASSO optimum by feature-sign search from x, or None.
+
+    The active-set search of Lee, Battle, Raina & Ng (2007) started from
+    the iterate x, with r = A x - y and aty = A^T y.  On the active set S
+    with signs theta it solves the equality QP A_S^T A_S x_S = A_S^T y -
+    lam theta, then moves toward that solution to the lowest objective
+    among the points where a coefficient changes sign and the solution
+    itself, and drops the entries that reach zero.  Once the QP solution
+    keeps its signs, the worst off-support KKT violator j joins with sign
+    -sign(g_j).  The pattern is returned when no entry violates by more
+    than kkt_gate; the search gives up (None) when S would reach m
+    entries, the objective fails to fall, a column is dependent on S, or
+    `_SEARCH_STEPS` steps pass.  It keeps one inverse of A_S^T A_S and
+    changes it by bordering (add) and Schur complements (drop), so a step
+    costs O(|S|^2) plus two or three full-length products.  Only the
+    pattern leaves: `_polish` solves and certifies it afresh.  The second
+    value counts the products with A, A^T or A_S taken, the Gram matrix as
+    one, and the third the dense factorizations (the two half-size
+    inverses of `_gram_inverse` when S starts nonempty).
+    """
+    m, n = A.shape
+    support = np.flatnonzero(x)
+    k = support.size
+    if k >= m:
+        return None, 0, 0
+    # each step adds at most one entry, and S stays below m entries
+    cap = min(m - 1, k + _SEARCH_STEPS)
+    active = np.empty(cap, dtype=np.intp)
+    active[:k] = support
+    theta = np.empty(cap)
+    theta[:k] = np.sign(x[support])
+    products = solves = 0
+    if k:
+        products, solves = 1, 2
+        try:
+            inv = _gram_inverse(A, support, cap)
+        except np.linalg.LinAlgError:
+            return None, products, solves
+    else:
+        inv = np.empty((cap, cap))
+    x = x.copy()
+    r = r.copy()
+    d_full = np.zeros(n)
+    # an empty S is optimal on itself: the search starts by adding
+    settled = k == 0
+    for _ in range(_SEARCH_STEPS):
+        if settled:
+            g = A.T @ r
+            products += 1
+            viol = np.abs(g) - lam
+            viol[active[:k]] = -math.inf
+            j = int(np.argmax(viol))
+            if viol[j] <= kkt_gate:
+                return np.sign(x), products, solves
+            if k == cap:
+                return None, products, solves
+            col = A.T @ A[:, j]
+            products += 1
+            b = col[active[:k]]
+            u = inv[:k, :k] @ b
+            schur = float(col[j] - b @ u)
+            if not schur > _PIVOT_FLOOR * col[j]:
+                return None, products, solves
+            u /= -schur
+            # bordered inverse: [[M + s u u^T, u], [u^T, 1/s]] with u = -M b / s
+            inv[:k, :k] += np.multiply.outer(u, schur * u)
+            inv[:k, k] = u
+            inv[k, :k] = u
+            inv[k, k] = 1.0 / schur
+            active[k] = j
+            theta[k] = -math.copysign(1.0, g[j])
+            k += 1
+        S = active[:k]
+        x_s = x[S]
+        target = inv[:k, :k] @ (aty[S] - lam * theta[:k])
+        d = target - x_s
+        d_full[S] = d
+        Ad = A @ d_full
+        d_full[S] = 0.0
+        products += 1
+        # the objective change along x + t d, t in (0, 1], at each point where
+        # an entry crosses zero and at t = 1: an entry moves with sign sigma_j
+        # (that of d_j if x_j is zero), and one that crossed before t adds
+        # -2 (|x_j| + t sigma_j d_j) to the l1 change t sigma.d
+        sigma = np.where(x_s != 0.0, np.sign(x_s), np.sign(d))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross_at = -x_s / d
+        crossing = np.flatnonzero((cross_at > 0.0) & (cross_at < 1.0))
+        order = crossing[np.argsort(cross_at[crossing])]
+        ts = np.append(cross_at[order], 1.0)
+        lost_x = np.cumsum(np.append(np.abs(x_s[order]), 0.0))
+        lost_d = np.cumsum(np.append(sigma[order] * d[order], 0.0))
+        change = (ts * float(r @ Ad) + 0.5 * ts * ts * float(Ad @ Ad)
+                  + lam * (ts * float(sigma @ d) - 2.0 * (lost_x + ts * lost_d)))
+        best = int(np.argmin(change))
+        if not change[best] < 0.0:
+            return None, products, solves
+        t = ts[best]
+        if best == order.size:
+            x[S] = target
+            settled = np.array_equal(np.sign(target), theta[:k])
+        else:
+            x[S] = x_s + t * d
+            x[S[order[best]]] = 0.0
+            settled = False
+        r += t * Ad
+        # drop the zeros, last first, each swapped to the end of S
+        for pos in np.flatnonzero(x[S] == 0.0)[::-1]:
+            last = k - 1
+            if pos != last:
+                active[[pos, last]] = active[[last, pos]]
+                inv[[pos, last], :k] = inv[[last, pos], :k]
+                inv[:k, [pos, last]] = inv[:k, [last, pos]]
+            k = last
+            pivot = inv[k, k]
+            if not pivot > 0.0:
+                return None, products, solves
+            inv[:k, :k] -= np.multiply.outer(inv[:k, k], inv[k, :k] / pivot)
+        theta[:k] = np.sign(x[active[:k]])
+    return None, products, solves
+
+
+def _finish(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray, r: np.ndarray,
+            aty: np.ndarray, signs: np.ndarray,
+            kkt_gate: float) -> tuple[tuple[np.ndarray, float] | None, int, int]:
+    """The exact solve on the settled pattern `signs` of the iterate x, r = A x - y.
+
+    If `_polish` rejects the pattern, `_feature_sign` corrects it from x
+    and the exact solve on the corrected pattern is tried.  Returns what
+    `_polish` returns, with the products and dense factorizations of all
+    three steps.
+    """
+    found, products, solves = _polish(A, y, lam, signs, kkt_gate)
+    if found is None:
+        pattern, more_products, more_solves = _feature_sign(A, y, lam, x, r, aty, kkt_gate)
+        products += more_products
+        solves += more_solves
+        if pattern is not None and not np.array_equal(pattern, signs):
+            found, more_products, more_solves = _polish(A, y, lam, pattern, kkt_gate)
+            products += more_products
+            solves += more_solves
+    return found, products, solves
 
 
 def solve_lasso(
@@ -240,7 +433,12 @@ def solve_lasso(
     iteration costs two matrix-vector products plus one per failed test.
     Once the sign pattern of the iterate has held for a few iterations, the
     exact solution on that pattern is tried and returned if it passes the
-    KKT gate.  Iterations stop once the relative objective change falls
+    KKT gate.  If it fails, a feature-sign search from the iterate corrects
+    the pattern (dropping entries that cross zero, adding the worst KKT
+    violator), and the exact solution on its pattern is tried the same way;
+    the search gives up, and FISTA goes on, at m entries or after a few
+    dozen steps.  Either way the returned x depends only on (A, y, lam,
+    pattern), not on the path to the pattern.  Iterations stop once the relative objective change falls
     below tol and the KKT residual is within the gate 10*tol*lam, floored at
     64 ulps of ||A^T y||_inf, below which the residual is rounding; hitting
     max_iter with a larger residual flags the result as non-converged (it
@@ -260,7 +458,7 @@ def solve_lasso(
     L_max = float(col_sq.sum())
     if not math.isfinite(L_max):
         raise ValueError("measurement matrix must be finite")
-    matvecs = 0
+    matvecs = exact_solves = 0
     if lipschitz is None:
         L = _spectral_norm_sq(A)
         # a flat start in the null space of A stops after the first step
@@ -289,6 +487,7 @@ def solve_lasso(
         matvecs += 1
         if k == 1:
             # the first gradient is -A^T y
+            aty = -grad
             kkt_gate = max(kkt_gate, _KKT_FLOOR * float(np.abs(grad).max()))
         L *= _L_SHRINK
         while True:
@@ -327,18 +526,20 @@ def solve_lasso(
             if kkt <= kkt_gate:
                 break
         if stable == _POLISH_AFTER:
-            polished, products = _polish(A, y, lam, signs, kkt_gate)
+            polished, products, solves = _finish(A, y, lam, x, r, aty, signs, kkt_gate)
             matvecs += products
+            exact_solves += solves
             if polished is not None:
                 return LassoResult(x_hat=polished[0], iters=iters, kkt_residual=polished[1],
                                    converged=True, lipschitz=L, matvecs=matvecs,
-                                   polished=True)
+                                   exact_solves=exact_solves, polished=True)
     if not math.isfinite(kkt) or iters == max_iter:
         kkt = _kkt_residual(A.T @ (Ax - y), x, lam)
         matvecs += 1
     converged = iters < max_iter or kkt <= kkt_gate
     return LassoResult(x_hat=x, iters=iters, kkt_residual=kkt, converged=converged,
-                       lipschitz=L, matvecs=matvecs, polished=False)
+                       lipschitz=L, matvecs=matvecs, exact_solves=exact_solves,
+                       polished=False)
 
 
 def empirical_metrics(
@@ -348,8 +549,8 @@ def empirical_metrics(
     solver: LassoResult | None = None,
 ) -> TrialResult:
     """Per-trial MSE and support-recovery rates at hard threshold xi."""
-    if xi <= 0.0:
-        raise ValueError(f"xi must be positive, got {xi}")
+    if not 0.0 < xi < math.inf:
+        raise ValueError(f"xi must be positive and finite, got {xi}")
     n = inst.x0.shape[0]
     k = inst.support.shape[0]
     mse = float(np.sum((x_hat - inst.x0) ** 2)) / n

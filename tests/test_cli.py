@@ -216,6 +216,18 @@ class TestRunSweep:
                 seed=0, mode="both", out=None,
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("xi", math.nan), ("xi", math.inf), ("xi", 0.0),
+        ("lambda_grid", (0.5, math.nan, 0.3)), ("lambda_grid", (math.inf,)),
+        ("trials", 0), ("n", 4), ("seed", -1),
+    ])
+    def test_spec_rejects_out_of_range(self, field, value):
+        good = dict(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lambda_grid=(0.5, 1.0),
+                    xi=1e-3, n=64, trials=2, seed=0, mode="simulate", out=None)
+        SweepSpec(**good)
+        with pytest.raises(UsageError, match=field.split("_")[-1]):
+            SweepSpec(**{**good, field: value})
+
 
 class TestMainExitCodes:
     def test_usage_error_is_1(self, capsys):
@@ -241,6 +253,27 @@ class TestMainExitCodes:
         )
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
+
+    SIMULATE = ("--delta 0.8 --kappa 0.1 --eps2 0.2 --snr 0.5 --mode simulate "
+                "--n 64 --trials 2 --seed 0 --xi 1e-3 --lambda-list 0.5")
+
+    @pytest.mark.parametrize("bad", [
+        "--lambda-list nan",
+        "--lambda-list inf",
+        "--lambda-list 0.5,nan,0.3",
+        "--trials 0",
+        "--n 4",
+        "--seed -1",
+        "--xi nan",
+        "--xi inf",
+    ])
+    def test_bad_simulate_input_is_usage_error(self, capsys, bad):
+        # each of these used to reach the computation (exit 2), and a
+        # non-finite xi even exited 0 with all-zero support rates
+        assert main((self.SIMULATE + " " + bad).split()) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert bad.split()[0].lstrip("-").split("-")[0] in err
 
     def test_stdout_default(self, capsys):
         code = main(

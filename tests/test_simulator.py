@@ -287,6 +287,106 @@ class TestSolveCounts:
         assert res.matvecs == products == 2 * 5 + 3
 
 
+class TestFeatureSign:
+    FIG2 = ModelConfig(delta=0.8, kappa=0.1, eps2=0.2, sigma_z2=0.2, lam=0.01)
+
+    def _instance(self, n, index):
+        return generate_instance(self.FIG2, PRIOR, n, simulator._trial_rng(0, index))
+
+    def _spy(self, monkeypatch):
+        calls = []
+        search = simulator._feature_sign
+
+        def spy(A, y, lam, x, *rest):
+            out = search(A, y, lam, x, *rest)
+            calls.append((np.count_nonzero(x), out[0]))
+            return out
+
+        monkeypatch.setattr(simulator, "_feature_sign", spy)
+        return calls
+
+    def test_small_lambda_ends_at_the_first_settled_pattern(self, monkeypatch):
+        # fig-2 grid at lambda = 0.01, trial 2 of seed 0: FISTA alone took 457
+        # iterations; the search corrects the second settled pattern (198 of
+        # m = 205 entries) and the exact solve on its result is accepted
+        calls = self._spy(monkeypatch)
+        inst = self._instance(256, 2)
+        lam = self.FIG2.lam
+        res = solve_lasso(inst.A, inst.y, lam)
+        assert res.polished and res.converged
+        assert res.iters <= 250
+        assert any(pattern is not None for _, pattern in calls)
+        # the output depends only on (A, y, lam, pattern)
+        gate = max(10 * 1e-10 * lam,
+                   simulator._KKT_FLOOR * float(np.max(np.abs(inst.A.T @ inst.y))))
+        exact = simulator._polish(inst.A, inst.y, lam, np.sign(res.x_hat), gate)[0]
+        assert np.array_equal(res.x_hat, exact[0])
+        # coordinate descent from zero agrees to 3e-10 here but takes about
+        # 8 s at |S| = 195 of 205; started at x_hat it must find no
+        # coordinate to move, and a fixed point of coordinate descent is the
+        # minimiser of this convex objective
+        ref = cd_lasso(inst.A, inst.y, lam, start=res.x_hat)
+        assert np.max(np.abs(res.x_hat - ref)) <= 1e-8
+
+    def test_declines_a_start_with_m_entries(self, monkeypatch):
+        inst = self._instance(64, 1)
+        m = inst.A.shape[0]
+        lam = self.FIG2.lam
+        x = np.zeros(64)
+        x[:m] = 1.0
+        r = inst.A @ x - inst.y
+        assert simulator._feature_sign(
+            inst.A, inst.y, lam, x, r, inst.A.T @ inst.y, 1e-9) == (None, 0, 0)
+        # every settled pattern of this solve has |S| >= m = 51, so each
+        # search declines and FISTA goes on to the optimum
+        calls = self._spy(monkeypatch)
+        res = solve_lasso(inst.A, inst.y, lam)
+        assert calls and all(k >= m and pattern is None for k, pattern in calls)
+        assert res.converged and res.iters < 20000
+        assert res.kkt_residual <= 10 * 1e-10 * lam
+
+    def test_counts_cover_the_search(self, monkeypatch):
+        # every product of the search reaches matvecs, and every dense
+        # factorization reaches exact_solves: here the solve of a rejected
+        # pattern, the two half-size inverses of the search and the solve of
+        # the accepted pattern
+        factorizations = []
+        for name in ("solve", "inv"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _original=original, **kwargs):
+                factorizations.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        inst = self._instance(256, 2)
+        _CountingMatrix.products = 0
+        res = solve_lasso(inst.A.view(_CountingMatrix), inst.y, self.FIG2.lam)
+        assert res.polished
+        assert res.matvecs == _CountingMatrix.products
+        assert res.exact_solves == len(factorizations) == 4
+
+    def test_fuzz_against_coordinate_descent(self, monkeypatch):
+        # small problems with column scales spread over two decades and an
+        # overall scale over four, at lambda from 1% to half of lambda_max
+        calls = self._spy(monkeypatch)
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(4, 21))
+            n = int(rng.integers(4, 25))
+            scale = 10 ** rng.uniform(-3, 3)
+            A = rng.normal(0.0, scale, (m, n)) * 10 ** rng.uniform(-1, 1, n)
+            y = rng.normal(0.0, scale, m)
+            lam = 10 ** rng.uniform(-2, -0.3) * float(np.max(np.abs(A.T @ y)))
+            res = solve_lasso(A, y, lam)
+            ref = cd_lasso(A, y, lam)
+            assert res.converged, seed
+            f_ref = lasso_objective(A, y, lam, ref)
+            assert lasso_objective(A, y, lam, res.x_hat) <= f_ref * (1 + 1e-12), seed
+            assert np.max(np.abs(res.x_hat - ref)) <= 1e-7 * np.max(np.abs(ref)), seed
+        assert sum(pattern is not None for _, pattern in calls) >= 20
+
+
 class TestKktGate:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_gate_has_a_rounding_floor(self, seed):
@@ -431,8 +531,9 @@ class TestEmpiricalMetrics:
 
     def test_xi_validation(self):
         inst = self._tiny_instance()
-        with pytest.raises(ValueError):
-            empirical_metrics(np.zeros(4), inst, xi=0.0)
+        for xi in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="xi"):
+                empirical_metrics(np.zeros(4), inst, xi=xi)
 
 
 class TestRunTrials:
