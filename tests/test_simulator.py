@@ -321,8 +321,8 @@ class TestFeatureSign:
                    simulator._KKT_FLOOR * float(np.max(np.abs(inst.A.T @ inst.y))))
         exact = simulator._polish(inst.A, inst.y, lam, np.sign(res.x_hat), gate)[0]
         assert np.array_equal(res.x_hat, exact[0])
-        # coordinate descent from zero agrees to 3e-10 here but takes about
-        # 8 s at |S| = 195 of 205; started at x_hat it must find no
+        # coordinate descent from zero agrees to 3e-10 here but needs 7,050
+        # sweeps at |S| = 195 of 205; started at x_hat it must find no
         # coordinate to move, and a fixed point of coordinate descent is the
         # minimiser of this convex objective
         ref = cd_lasso(inst.A, inst.y, lam, start=res.x_hat)
@@ -368,7 +368,7 @@ class TestFeatureSign:
 
     def test_fuzz_against_coordinate_descent(self, monkeypatch):
         # small problems with column scales spread over two decades and an
-        # overall scale over four, at lambda from 1% to half of lambda_max
+        # overall scale over six, at lambda from 1% to half of lambda_max
         calls = self._spy(monkeypatch)
         for seed in range(100):
             rng = np.random.default_rng(seed)
