@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .predictor import ModelConfig, NonConvergenceError, predict_report
 from .prior import sparse_bernoulli
-from .simulator import run_grid
+from .simulator import _instance_size, run_grid
 
 __all__ = [
     "SweepSpec",
@@ -131,17 +131,24 @@ class SweepSpec:
                     "lambda grid must be strictly increasing, positive and finite, "
                     f"got {self.lambda_grid}")
             prev = lam
-        if self.mode in ("simulate", "both"):
+        simulate = self.mode in ("simulate", "both")
+        if simulate:
             if self.n is None or self.trials is None:
                 raise UsageError(f"mode {self.mode} requires --n and --trials")
-            if self.n < 8:
-                raise UsageError(f"n must be at least 8, got {self.n}")
             if self.trials < 1:
                 raise UsageError(f"trials must be at least 1, got {self.trials}")
             if self.seed < 0:
                 raise UsageError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.xi < math.inf:
             raise UsageError(f"xi must be positive and finite, got {self.xi}")
+        try:
+            # lambda does not change what else the model accepts
+            base = ModelConfig(delta=self.delta, kappa=self.kappa, eps2=self.eps2,
+                               sigma_z2=self.sigma_z2, lam=self.lambda_grid[0])
+            if simulate:
+                _instance_size(base, self.n)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,6 +212,8 @@ def parse_args(argv: list[str]) -> SweepSpec:
             raise UsageError(f"missing required flags: {', '.join(missing)}")
         if ns.sigma_z2 is None and ns.snr is None:
             raise UsageError("one of --sigma-z2 or --snr is required")
+        if ns.snr is not None and not 0.0 < ns.snr < math.inf:
+            raise UsageError(f"snr must be positive and finite, got {ns.snr}")
         delta, kappa, eps2 = ns.delta, ns.kappa, ns.eps2
         sigma_z2 = ns.sigma_z2 if ns.sigma_z2 is not None else kappa / ns.snr
 

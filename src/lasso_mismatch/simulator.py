@@ -71,9 +71,9 @@ class LassoResult:
     `matvecs` counts every product with A or A^T the solve took: power
     steps, gradients, backtracking retries, KKT checks, exact-solve and
     active-set search products.  `exact_solves` counts the dense
-    factorizations: each solve of an exact-solve attempt and the two
-    half-size inverses each search starts from.  `polished` is True when
-    the solve ended in the exact solve on a sign pattern.
+    factorizations: each solve of an exact-solve attempt and the inverse
+    each search starts from.  `polished` is True when the solve ended in
+    the exact solve on a sign pattern.
     """
 
     x_hat: np.ndarray
@@ -115,6 +115,19 @@ class EmpiricalReport:
         return sum(1 for t in self.trials if not t.converged)
 
 
+def _instance_size(cfg: ModelConfig, n: int) -> tuple[int, int]:
+    """(m, k) = (round(delta n), round(kappa n)); ValueError unless n >= 8, m >= 1, 1 <= k < n."""
+    if n < 8:
+        raise ValueError(f"n must be at least 8, got {n}")
+    m = round_count(cfg.delta * n)
+    if m < 1:
+        raise ValueError(f"measurement count m={m} = round(delta n) must be at least 1, n={n}")
+    k = round_count(cfg.kappa * n)
+    if k < 1 or k >= n:
+        raise ValueError(f"support size k={k} = round(kappa n) out of range for n={n}")
+    return m, k
+
+
 def generate_instance(
     cfg: ModelConfig, p: Prior, n: int, rng: np.random.Generator
 ) -> Instance:
@@ -125,15 +138,7 @@ def generate_instance(
     N(0, 1/n) entries; y is drawn from its law given A, H = gamma A + eps G with
     G independent of A, as y = gamma A x0 + s xi, s^2 = sigma_z2 + eps^2 |x0|^2/n.
     """
-    if n < 8:
-        raise ValueError(f"n must be at least 8, got {n}")
-    m = round_count(cfg.delta * n)
-    if m < 1:
-        raise ValueError(f"measurement count m={m} must be at least 1 for n={n}")
-    k = round_count(cfg.kappa * n)
-    if k < 1 or k >= n:
-        raise ValueError(f"support size k={k} out of range for n={n}")
-
+    m, k = _instance_size(cfg, n)
     support = np.sort(rng.choice(n, size=k, replace=False))
     x0 = np.zeros(n)
     x0[support] = sample_on_support(p, rng, k)
@@ -237,35 +242,6 @@ _SEARCH_STEPS = 32
 _PIVOT_FLOOR = 1e-10
 
 
-def _gram_inverse(A: np.ndarray, support: np.ndarray, cap: int) -> np.ndarray:
-    """A cap x cap array whose [:k, :k] block, k = |S|, is the inverse of G = A_S^T A_S.
-
-    It is formed by 2x2 blocks: with G = [[P, Q], [Q^T, R]], W = P^-1 Q and
-    the Schur complement C = R - Q^T W, G^-1 = [[P^-1 + W C^-1 W^T, -W C^-1],
-    [-C^-1 W^T, C^-1]].  A dense inverse works on a copy of its input and an
-    identity of the same size, so two half-size inverses need a quarter of
-    the workspace of one full one, and the Gram matrix is formed in the
-    storage of the result.  Raises LinAlgError when a block is singular.
-    """
-    k = support.size
-    h = k // 2
-    out = np.empty((cap, cap))
-    a_s = A[:, support]
-    out[:k, :k] = a_s.T @ a_s
-    del a_s
-    gram = out[:k, :k]
-    p_inv = np.linalg.inv(gram[:h, :h])
-    w = p_inv @ gram[:h, h:]
-    c_inv = np.linalg.inv(gram[h:, h:] - gram[h:, :h] @ w)
-    out[h:k, h:k] = c_inv
-    np.matmul(w, c_inv, out=out[:h, h:k])
-    np.matmul(out[:h, h:k], w.T, out=out[:h, :h])
-    out[:h, :h] += p_inv
-    out[:h, h:k] *= -1.0
-    out[h:k, :h] = out[:h, h:k].T
-    return out
-
-
 def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
                   r: np.ndarray, aty: np.ndarray,
                   kkt_gate: float) -> tuple[np.ndarray | None, int, int]:
@@ -286,8 +262,8 @@ def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
     costs O(|S|^2) plus two or three full-length products.  Only the
     pattern leaves: `_polish` solves and certifies it afresh.  The second
     value counts the products with A, A^T or A_S taken, the Gram matrix as
-    one, and the third the dense factorizations (the two half-size
-    inverses of `_gram_inverse` when S starts nonempty).
+    one, and the third the dense factorizations (the inverse of A_S^T A_S
+    when S starts nonempty, taken once the copy A_S is freed).
     """
     m, n = A.shape
     support = np.flatnonzero(x)
@@ -300,15 +276,15 @@ def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
     active[:k] = support
     theta = np.empty(cap)
     theta[:k] = np.sign(x[support])
-    products = solves = 0
+    inv = np.empty((cap, cap))
+    products = solves = int(k > 0)
     if k:
-        products, solves = 1, 2
+        gram = A[:, support]
+        gram = gram.T @ gram
         try:
-            inv = _gram_inverse(A, support, cap)
+            inv[:k, :k] = np.linalg.inv(gram)
         except np.linalg.LinAlgError:
             return None, products, solves
-    else:
-        inv = np.empty((cap, cap))
     x = x.copy()
     r = r.copy()
     d_full = np.zeros(n)
@@ -389,28 +365,6 @@ def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
             inv[:k, :k] -= np.multiply.outer(inv[:k, k], inv[k, :k] / pivot)
         theta[:k] = np.sign(x[active[:k]])
     return None, products, solves
-
-
-def _finish(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray, r: np.ndarray,
-            aty: np.ndarray, signs: np.ndarray,
-            kkt_gate: float) -> tuple[tuple[np.ndarray, float] | None, int, int]:
-    """The exact solve on the settled pattern `signs` of the iterate x, r = A x - y.
-
-    If `_polish` rejects the pattern, `_feature_sign` corrects it from x
-    and the exact solve on the corrected pattern is tried.  Returns what
-    `_polish` returns, with the products and dense factorizations of all
-    three steps.
-    """
-    found, products, solves = _polish(A, y, lam, signs, kkt_gate)
-    if found is None:
-        pattern, more_products, more_solves = _feature_sign(A, y, lam, x, r, aty, kkt_gate)
-        products += more_products
-        solves += more_solves
-        if pattern is not None and not np.array_equal(pattern, signs):
-            found, more_products, more_solves = _polish(A, y, lam, pattern, kkt_gate)
-            products += more_products
-            solves += more_solves
-    return found, products, solves
 
 
 def solve_lasso(
@@ -526,9 +480,17 @@ def solve_lasso(
             if kkt <= kkt_gate:
                 break
         if stable == _POLISH_AFTER:
-            polished, products, solves = _finish(A, y, lam, x, r, aty, signs, kkt_gate)
+            polished, products, solves = _polish(A, y, lam, signs, kkt_gate)
             matvecs += products
             exact_solves += solves
+            if polished is None:
+                pattern, products, solves = _feature_sign(A, y, lam, x, r, aty, kkt_gate)
+                matvecs += products
+                exact_solves += solves
+                if pattern is not None and not np.array_equal(pattern, signs):
+                    polished, products, solves = _polish(A, y, lam, pattern, kkt_gate)
+                    matvecs += products
+                    exact_solves += solves
             if polished is not None:
                 return LassoResult(x_hat=polished[0], iters=iters, kkt_residual=polished[1],
                                    converged=True, lipschitz=L, matvecs=matvecs,
@@ -574,13 +536,13 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _run_trial(cfg: ModelConfig, p: Prior, n: int, xi: float, seed: int, index: int,
-               lambdas: tuple[float, ...], tol: float, max_iter: int) -> list[TrialResult]:
+               lambdas: tuple[float, ...], max_iter: int) -> list[TrialResult]:
     """One trial's instance, solved at every lambda; the instance dies on return."""
     inst = generate_instance(cfg, p, n, _trial_rng(seed, index))
     L = _spectral_norm_sq(inst.A)
     results = []
     for lam in lambdas:
-        res = solve_lasso(inst.A, inst.y, lam, tol=tol, max_iter=max_iter, lipschitz=L)
+        res = solve_lasso(inst.A, inst.y, lam, max_iter=max_iter, lipschitz=L)
         results.append(empirical_metrics(res.x_hat, inst, xi, solver=res))
     return results
 
@@ -617,7 +579,6 @@ def run_grid(
     seed: int,
     lambdas: tuple[float, ...],
     workers: int = 1,
-    tol: float = 1e-10,
     max_iter: int = 20000,
 ) -> tuple[EmpiricalReport, ...]:
     """Run independent trials over a lambda grid; one report per lambda, in order.
@@ -639,7 +600,7 @@ def run_grid(
             f"lambdas must be a nonempty list of positive finite values, got {lambdas}")
 
     def trial(i: int) -> list[TrialResult]:
-        return _run_trial(cfg, p, n, xi, seed, i, lambdas, tol, max_iter)
+        return _run_trial(cfg, p, n, xi, seed, i, lambdas, max_iter)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -657,7 +618,6 @@ def run_trials(
     xi: float,
     seed: int,
     workers: int = 1,
-    tol: float = 1e-10,
     max_iter: int = 20000,
 ) -> EmpiricalReport:
     """Run independent trials at cfg.lam and aggregate means and standard errors.
@@ -665,4 +625,4 @@ def run_trials(
     The one-lambda case of `run_grid`: the report equals, bit for bit, the
     cell of cfg.lam in any grid run with the same arguments.
     """
-    return run_grid(cfg, p, n, trials, xi, seed, (cfg.lam,), workers, tol, max_iter)[0]
+    return run_grid(cfg, p, n, trials, xi, seed, (cfg.lam,), workers, max_iter)[0]

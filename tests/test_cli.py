@@ -220,6 +220,7 @@ class TestRunSweep:
         ("xi", math.nan), ("xi", math.inf), ("xi", 0.0),
         ("lambda_grid", (0.5, math.nan, 0.3)), ("lambda_grid", (math.inf,)),
         ("trials", 0), ("n", 4), ("seed", -1),
+        ("delta", -1.0), ("kappa", 1.5), ("eps2", 1.5), ("sigma_z2", -0.2),
     ])
     def test_spec_rejects_out_of_range(self, field, value):
         good = dict(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lambda_grid=(0.5, 1.0),
@@ -266,6 +267,8 @@ class TestMainExitCodes:
         "--seed -1",
         "--xi nan",
         "--xi inf",
+        "--kappa 0.01 --n 8",
+        "--delta 0.01 --n 8",
     ])
     def test_bad_simulate_input_is_usage_error(self, capsys, bad):
         # each of these used to reach the computation (exit 2), and a
@@ -274,6 +277,29 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "usage error" in err
         assert bad.split()[0].lstrip("-").split("-")[0] in err
+
+    THEORY = {"--delta": "0.8", "--kappa": "0.1", "--eps2": "0.1", "--snr": "0.5",
+              "--lambda-list": "1.201", "--mode": "theory"}
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--delta", "-1"),
+        ("--eps2", "1.5"),
+        ("--kappa", "1.5"),
+        ("--sigma-z2", "-0.2"),
+        ("--snr", "-0.5"),
+        ("--snr", "0"),
+    ])
+    def test_bad_model_flag_is_usage_error(self, capsys, flag, value):
+        # these used to exit 2 as computation errors, and --snr 0 raised
+        # ZeroDivisionError
+        flags = dict(self.THEORY)
+        if flag == "--sigma-z2":
+            del flags["--snr"]
+        flags[flag] = value
+        assert main([arg for pair in flags.items() for arg in pair]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert flag.lstrip("-").replace("-", "_") in err
 
     def test_stdout_default(self, capsys):
         code = main(

@@ -348,8 +348,8 @@ class TestFeatureSign:
     def test_counts_cover_the_search(self, monkeypatch):
         # every product of the search reaches matvecs, and every dense
         # factorization reaches exact_solves: here the solve of a rejected
-        # pattern, the two half-size inverses of the search and the solve of
-        # the accepted pattern
+        # pattern, the inverse the search starts from and the solve of the
+        # accepted pattern
         factorizations = []
         for name in ("solve", "inv"):
             original = getattr(np.linalg, name)
@@ -364,7 +364,7 @@ class TestFeatureSign:
         res = solve_lasso(inst.A.view(_CountingMatrix), inst.y, self.FIG2.lam)
         assert res.polished
         assert res.matvecs == _CountingMatrix.products
-        assert res.exact_solves == len(factorizations) == 4
+        assert res.exact_solves == len(factorizations) == 3
 
     def test_fuzz_against_coordinate_descent(self, monkeypatch):
         # small problems with column scales spread over two decades and an
