@@ -216,6 +216,9 @@ def parse_args(argv: list[str]) -> SweepSpec:
             raise UsageError(f"snr must be positive and finite, got {ns.snr}")
         delta, kappa, eps2 = ns.delta, ns.kappa, ns.eps2
         sigma_z2 = ns.sigma_z2 if ns.sigma_z2 is not None else kappa / ns.snr
+        if ns.sigma_z2 is None and not 0.0 < sigma_z2 < math.inf:
+            raise UsageError(f"kappa / snr must be positive and finite, "
+                             f"got {kappa} / {ns.snr} = {sigma_z2}")
 
         if ns.lambda_list is not None:
             if any(v is not None for v in (ns.lambda_min, ns.lambda_max, ns.lambda_steps)):

@@ -19,6 +19,9 @@ the piecewise definitions.  With u+ = (chi - mu) / tau and u- = (-chi - mu) / ta
 
     P(|mu + tau*H| <= chi)  = Q(u-) - Q(u+)
 
+    d/dchi P(|a| <= chi)    = (phi(u+) + phi(u-)) / tau
+    d/dtau P(|a| <= chi)    = (u- phi(u-) - u+ phi(u+)) / tau
+
 using the identities  int_a^b phi = Q(a) - Q(b),  int_a^b h phi = phi(a) - phi(b),
 int_a^b h^2 phi = Q(a) - Q(b) + a phi(a) - b phi(b).  These are cross-checked
 against an adaptive-quadrature oracle in the test suite.
@@ -106,15 +109,17 @@ def _check_gauss_args(mean: float, spread: float, threshold: float) -> tuple[flo
     return mean, spread, threshold
 
 
-def _gauss_moments(mu: float, tau: float, chi: float) -> tuple[float, float, float]:
-    """(E e, E|eta|, P(|a| <= chi)) for a = mu + tau*H, from one set of Q and phi values.
+def _gauss_moments(mu: float, tau: float, chi: float) -> tuple[float, float, float, float, float]:
+    """(E e, E|eta|, P(|a| <= chi) and its partials in chi and tau) for a = mu + tau*H.
 
-    Arguments are not checked; gauss_expect_e is the checked entry point.
+    All five come from one set of Q and phi values.  Arguments are not
+    checked; gauss_expect_e is the checked entry point.
     """
     up = (chi - mu) / tau
     um = (-chi - mu) / tau
     q_up, q_um, q_mum = _q(up), _q(um), _q(-um)
     p_up, p_um = _pdf(up), _pdf(um)
+    tails = um * p_um - up * p_up
     # a > chi and a < -chi branches of e
     upper = (chi * mu - 0.5 * chi * chi) * q_up + chi * tau * p_up
     lower = (-chi * mu - 0.5 * chi * chi) * q_mum + chi * tau * p_um
@@ -122,10 +127,10 @@ def _gauss_moments(mu: float, tau: float, chi: float) -> tuple[float, float, flo
     dead = (
         0.5 * (mu * mu + tau * tau) * (q_um - q_up)
         + mu * tau * (p_um - p_up)
-        + 0.5 * tau * tau * (um * p_um - up * p_up)
+        + 0.5 * tau * tau * tails
     )
     abs_eta = (mu - chi) * q_up + tau * p_up - (mu + chi) * q_mum + tau * p_um
-    return upper + dead + lower, abs_eta, q_um - q_up
+    return upper + dead + lower, abs_eta, q_um - q_up, (p_up + p_um) / tau, tails / tau
 
 
 def gauss_expect_e(mean: float, spread: float, threshold: float) -> float:

@@ -15,10 +15,17 @@ threshold xi.
 The saddle is a root of the closed-form gradient of D: at each tau the
 inner root solves dD/dbeta = 0, and the outer root solves dD/dtau = 0 along
 that curve, where it is the derivative of tau -> max_beta D.  One
-safeguarded secant (Illinois) search serves both.  A solution is returned
-only when its scaled stationarity residual is within SADDLE_TOL of D.  The
-optimal lambda is found by golden section on a fixed interval.
-Non-convergence raises instead of returning a best-effort result.
+safeguarded Newton search (rtsafe, Press et al., Numerical Recipes 9.4)
+serves both: it takes the Newton point when that lies inside the
+sign-change bracket and bisects otherwise.  Both slopes are closed forms from
+the same per-atom moments as the gradient: the inner one is -d2D/dbeta2, and
+the outer one is the total derivative H_tt - H_tb^2 / H_bb along beta(tau), H
+the Hessian of D, taken at the inner search's last evaluation.  Each inner
+search starts from the previous outer iterate's beta when that lies inside
+its analytic bracket, so near the saddle it takes one or two evaluations.  A
+solution is returned only when its scaled stationarity residual is within
+SADDLE_TOL of D.  The optimal lambda is found by golden section on a fixed
+interval.  Non-convergence raises instead of returning a best-effort result.
 """
 
 from __future__ import annotations
@@ -125,9 +132,9 @@ class ModelConfig:
 class ScalarSolution:
     """Saddle point of the scalar min-max problem with convergence metadata.
 
-    outer_iters counts the tau root's evaluations (one beta root each),
-    inner_iters_total the beta roots' gradient evaluations; residual is
-    (|tau dD/dtau|, |beta dD/dbeta|) at the saddle.
+    outer_iters counts the tau root's Newton-search evaluations (one beta
+    root each), inner_iters_total the beta roots' gradient evaluations;
+    residual is (|tau dD/dtau|, |beta dD/dbeta|) at the saddle.
     """
 
     tau_star: float
@@ -201,16 +208,21 @@ def golden_section_min(f, lo: float, hi: float, rel_tol: float, max_iters: int):
     return x, f(x), iters, converged
 
 
-def bracketed_root(f, lo: float, hi: float, name: str, **context) -> tuple[float, int]:
-    """Root of an increasing f on [lo, inf), with f(lo) < 0, by Illinois steps.
+def bracketed_root(f, lo: float, hi: float, name: str, *, start: float = math.nan,
+                   **context) -> tuple[float, int]:
+    """Root of an increasing f on [lo, inf), with f(lo) < 0, by safeguarded Newton steps.
 
-    hi doubles while f(hi) < 0, up to BRACKET_CAP.  Each step evaluates the
-    secant point of the sign-change bracket, kept half the stopping width
-    inside it (the midpoint if it is not a number), and halves the stored
-    value of an end kept twice in a row.  Stops when f vanishes or the
-    bracket is at most ROOT_REL_TOL * lo wide; returns (last point, number of
-    f evaluations).  Otherwise raises NonConvergenceError, whose `name`
-    attribute ("tau" or "beta") carries the last point and `context` the rest.
+    f returns (value, slope).  The search evaluates start if lo < start < hi,
+    and lo otherwise; each point then replaces the end of [lo, hi] on its side
+    of the sign change.  The next point is the Newton point of the last one
+    when that lies strictly inside the bracket.  Otherwise it is the end on the
+    root's side if f is not yet known there: lo, where f must be negative, or
+    hi, which doubles while f(hi) < 0, up to BRACKET_CAP.  With both ends
+    known it is the midpoint.  Stops when f vanishes, when the Newton step is
+    at most ROOT_REL_TOL times the point, or when the bracket is at most
+    ROOT_REL_TOL * lo wide; returns (last point, number of f evaluations).
+    Otherwise raises NonConvergenceError, whose `name` attribute ("tau" or
+    "beta") carries the last point and `context` the rest.
     """
 
     def failure(message: str, last: float) -> NonConvergenceError:
@@ -219,76 +231,102 @@ def bracketed_root(f, lo: float, hi: float, name: str, **context) -> tuple[float
 
     if hi > BRACKET_CAP:
         raise failure(f"{name} bracket exceeded cap {BRACKET_CAP:g}", hi)
-    f_lo, f_hi, evals = f(lo), f(hi), 2
-    if not f_lo < 0.0:
-        raise failure(f"{name} root is not above {lo:g}", lo)
-    while f_hi < 0.0:
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-        if hi > BRACKET_CAP:
-            raise failure(f"{name} bracket exceeded cap {BRACKET_CAP:g}", hi)
-        f_hi, evals = f(hi), evals + 1
-    kept = 0  # the end kept by the last step: -1 lo, +1 hi
+    x = start if lo < start < hi else lo
+    lo_known = hi_known = False
+    evals = 0
     while evals < ROOT_MAX_EVALS:
-        margin = 0.5 * ROOT_REL_TOL * lo
-        x = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + margin), hi - margin)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx, evals = f(x), evals + 1
+        fx, slope = f(x)
+        evals += 1
         if fx < 0.0:
-            lo, f_lo, f_hi = x, fx, f_hi * (0.5 if kept > 0 else 1.0)
-            kept = 1
+            if x == hi:
+                hi = 2.0 * hi
+                if hi > BRACKET_CAP:
+                    raise failure(f"{name} bracket exceeded cap {BRACKET_CAP:g}", hi)
+            lo, lo_known = x, True
+        elif x == lo:  # evaluated only while f(lo) is unknown
+            raise failure(f"{name} root is not above {lo:g}", lo)
         elif fx > 0.0:
-            hi, f_hi, f_lo = x, fx, f_lo * (0.5 if kept < 0 else 1.0)
-            kept = -1
+            hi, hi_known = x, True
         elif fx != 0.0:
             raise failure(f"{name} root search met a NaN", x)
-        if fx == 0.0 or hi - lo <= ROOT_REL_TOL * lo:
+        else:
             return x, evals
+        step = fx / slope if slope > 0.0 else math.nan
+        closed = lo_known and hi_known and hi - lo <= ROOT_REL_TOL * lo
+        if abs(step) <= ROOT_REL_TOL * x or closed:
+            return x, evals
+        x_next = x - step
+        if lo < x_next < hi:
+            x = x_next
+        elif not hi_known:
+            x = hi
+        elif not lo_known:
+            x = lo
+        else:
+            x = 0.5 * (lo + hi)
     raise failure(f"{name} root not found within {ROOT_MAX_EVALS} evaluations", x)
 
 
-def _gradient(tau: float, beta: float, cfg: ModelConfig, p: Prior) -> tuple[float, float]:
-    """(dD/dtau, dD/dbeta) in closed form.
+def _derivatives(tau: float, beta: float, cfg: ModelConfig,
+                 p: Prior) -> tuple[float, float, float, float]:
+    """dD/dtau, dD/dbeta and the slopes of the two roots, in closed form.
 
-    With a = gamma*X + tau*H, chi = 2 lam tau / beta, s^2 = sigma_z^2 + eps^2 E[X^2]
-    and w = (s^2/2 + E e(a; chi) - chi E|eta(a; chi)|) / tau, the envelope
-    theorem (de/da = a - eta, de/dchi = |eta|) and Stein's lemma give
+    With a = gamma*X + tau*H, chi = 2 lam tau / beta, s^2 = sigma_z^2 + eps^2 E[X^2],
+    P = P(|a| <= chi) and w = (s^2/2 + G) / tau, where G = E e(a; chi) - chi E|eta(a; chi)|
+    = E min(a^2, chi^2)/2, the envelope theorem (de/da = a - eta, de/dchi = |eta|)
+    and Stein's lemma give
         dD/dbeta = tau (delta - 1)/2 + w - beta/2,
-        dD/dtau  = beta ((delta - 1)/2 + P(|a| <= chi) - w/tau).
+        dD/dtau  = beta ((delta - 1)/2 + P - w/tau).
+    G has the partials dG/dchi = chi (1 - P) and dG/dtau = tau (P - chi dP/dchi),
+    so the beta root's slope, d(-dD/dbeta)/dbeta = -H_bb, is
+    1/2 + chi^2 (1 - P) / (tau beta), and the tau root's slope along the curve
+    beta(tau) on which dD/dbeta is constant is H_tt - H_tb^2 / H_bb, with H the
+    Hessian of D.  Returns (dD/dtau, dD/dbeta, -H_bb, H_tt - H_tb^2 / H_bb).
     """
     chi = 2.0 * cfg.lam * tau / beta
-    e, abs_eta, inside = _prior_moments(p, cfg.gamma, tau, chi)
+    e, abs_eta, inside, inside_chi, inside_tau = _prior_moments(p, cfg.gamma, tau, chi)
     w = (0.5 * (cfg.sigma_z2 + cfg.eps2 * p.second_moment()) + e - chi * abs_eta) / tau
     half = 0.5 * (cfg.delta - 1.0)
-    return beta * (half + inside - w / tau), tau * half + w - 0.5 * beta
+    clipped = chi * chi * (1.0 - inside) / tau  # dG/dchi * dchi/dtau
+    slope_beta = 0.5 + clipped / beta
+    # total tau-derivatives at fixed beta (dchi/dtau = chi/tau)
+    w_tau = (tau * (inside - chi * inside_chi) + clipped - w) / tau
+    h_tb = half + w_tau
+    h_tt = beta * (inside_tau + inside_chi * chi / tau - (w_tau - w / tau) / tau)
+    return (beta * (half + inside - w / tau), tau * half + w - 0.5 * beta,
+            slope_beta, h_tt + h_tb * h_tb / slope_beta)
 
 
-def _beta_root(tau: float, cfg: ModelConfig, p: Prior) -> tuple[float, float, int]:
-    """Root of dD/dbeta at tau: (beta, dD/dtau there, evaluations).
+def _beta_root(tau: float, cfg: ModelConfig, p: Prior,
+               start: float = math.nan) -> tuple[float, float, float, int]:
+    """Root of dD/dbeta at tau: (beta, dD/dtau and its total tau-slope there, evaluations).
 
     e - chi |eta| = min(a^2, chi^2)/2 lies in [0, a^2/2], so the root lies in
-    [tau (delta - 1) + s^2/tau, tau delta + (sigma_z^2 + E[X^2])/tau].  The
+    [tau (delta - 1) + s^2/tau, tau delta + (sigma_z^2 + E[X^2])/tau].  A cold
     search starts from half the lower bound, since at small lambda the root
-    can sit on the bound itself, within rounding of the gradient's terms.
+    can sit on the bound itself, within rounding of the gradient's terms; a
+    start inside that bracket is evaluated first.  The dD/dtau values are
+    those of the search's last evaluation.
     """
-    d_tau = math.nan
+    at_root = (math.nan, math.nan)
 
-    def f(beta: float) -> float:
-        nonlocal d_tau
-        d_tau, d_beta = _gradient(tau, beta, cfg, p)
-        return -d_beta
+    def f(beta: float) -> tuple[float, float]:
+        nonlocal at_root
+        d_tau, d_beta, slope_beta, slope_tau = _derivatives(tau, beta, cfg, p)
+        at_root = (d_tau, slope_tau)
+        return -d_beta, slope_beta
 
     ex2 = p.second_moment()
     hi = tau * cfg.delta + (cfg.sigma_z2 + ex2) / tau
     lo = max(0.5 * (tau * (cfg.delta - 1.0) + (cfg.sigma_z2 + cfg.eps2 * ex2) / tau), 1e-9 * hi)
-    beta, evals = bracketed_root(f, lo, hi, "beta", tau=tau)
-    return beta, d_tau, evals
+    beta, evals = bracketed_root(f, lo, hi, "beta", start=start, tau=tau)
+    return beta, at_root[0], at_root[1], evals
 
 
 def maximize_over_beta(tau: float, cfg: ModelConfig, p: Prior) -> tuple[float, float, int]:
     """Maximize the concave beta -> D(tau, beta): (argmax, value, gradient evaluations)."""
     _check_positive("tau", tau)
-    beta, _, evals = _beta_root(tau, cfg, p)
+    beta, _, _, evals = _beta_root(tau, cfg, p)
     return beta, objective_D(tau, beta, cfg, p), evals
 
 
@@ -304,15 +342,15 @@ def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
     inner_total = 0
     beta = math.nan
 
-    def d_tau(tau: float) -> float:
+    def d_tau(tau: float) -> tuple[float, float]:
         nonlocal inner_total, beta
-        beta, grad, evals = _beta_root(tau, cfg, p)
+        beta, grad, slope, evals = _beta_root(tau, cfg, p, start=beta)
         inner_total += evals
-        return grad
+        return grad, slope
 
     lo = max(1e-6, 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta))
     tau, outer_evals = bracketed_root(d_tau, lo, 2.0 * lo, "tau")
-    g_tau, g_beta = _gradient(tau, beta, cfg, p)
+    g_tau, g_beta, _, _ = _derivatives(tau, beta, cfg, p)
     value = objective_D(tau, beta, cfg, p)
     residual = (abs(tau * g_tau), abs(beta * g_beta))
     if not max(residual) <= SADDLE_TOL * value:

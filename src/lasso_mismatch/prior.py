@@ -107,18 +107,23 @@ def prior_expect_eta_x0(p: Prior, gamma: float, tau: float, chi: float) -> float
     )
 
 
-def _prior_moments(p: Prior, gamma: float, tau: float, chi: float) -> tuple[float, float, float]:
-    """(E e, E|eta|, P(|a| <= chi)) for a = gamma*X + tau*H; arguments unchecked.
+def _prior_moments(
+    p: Prior, gamma: float, tau: float, chi: float
+) -> tuple[float, float, float, float, float]:
+    """(E e, E|eta|, P(|a| <= chi), its partials in chi and tau) for a = gamma*X + tau*H.
 
-    The saddle solver's root loops call this with tau, chi > 0 by construction.
+    Arguments are unchecked: the saddle solver's root loops call this with
+    tau, chi > 0 by construction.
     """
-    e = abs_eta = inside = 0.0
+    e = abs_eta = inside = inside_chi = inside_tau = 0.0
     for v, prob in p.atoms:
-        atom_e, atom_abs_eta, atom_inside = _gauss_moments(gamma * v, tau, chi)
+        atom_e, atom_abs_eta, atom_inside, atom_chi, atom_tau = _gauss_moments(gamma * v, tau, chi)
         e += prob * atom_e
         abs_eta += prob * atom_abs_eta
         inside += prob * atom_inside
-    return e, abs_eta, inside
+        inside_chi += prob * atom_chi
+        inside_tau += prob * atom_tau
+    return e, abs_eta, inside, inside_chi, inside_tau
 
 
 def sample_on_support(p: Prior, rng: np.random.Generator, count: int) -> np.ndarray:

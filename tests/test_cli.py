@@ -288,10 +288,12 @@ class TestMainExitCodes:
         ("--sigma-z2", "-0.2"),
         ("--snr", "-0.5"),
         ("--snr", "0"),
+        ("--snr", "1e-320"),
     ])
     def test_bad_model_flag_is_usage_error(self, capsys, flag, value):
-        # these used to exit 2 as computation errors, and --snr 0 raised
-        # ZeroDivisionError
+        # these used to exit 2 as computation errors, --snr 0 raised
+        # ZeroDivisionError, and --snr 1e-320 (kappa / snr = inf) was
+        # reported against sigma_z2, a flag not given
         flags = dict(self.THEORY)
         if flag == "--sigma-z2":
             del flags["--snr"]

@@ -198,3 +198,17 @@ class TestGaussExpectations:
                         worst[i] = max(worst[i], abs(got[i] - oracle(mu, tau, chi)))
                     assert got[0] == gauss_expect_e(mu, tau, chi)
         assert max(worst) <= 1e-9, worst
+
+    def test_inside_partials_match_central_differences(self):
+        # d/dchi and d/dtau of P(|a| <= chi), from its oracle at relative step 1e-5
+        for mu in (0.0, 0.5, -0.5, 1.0, -1.5, 4.0):
+            for tau in (0.1, 0.5, 1.0, 2.0):
+                for chi in (0.05, 0.5, 1.0, 3.0):
+                    _, _, _, got_chi, got_tau = _gauss_moments(mu, tau, chi)
+                    dc, dt = 1e-5 * chi, 1e-5 * tau
+                    want_chi = (oracle_prob_inside(mu, tau, chi + dc)
+                                - oracle_prob_inside(mu, tau, chi - dc)) / (2 * dc)
+                    want_tau = (oracle_prob_inside(mu, tau + dt, chi)
+                                - oracle_prob_inside(mu, tau - dt, chi)) / (2 * dt)
+                    assert abs(got_chi - want_chi) <= 1e-7 * max(1.0, abs(want_chi))
+                    assert abs(got_tau - want_tau) <= 1e-7 * max(1.0, abs(want_tau))

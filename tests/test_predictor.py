@@ -1,5 +1,5 @@
-"""Predictor tests: objective identity checks, the closed-form gradient against
-central differences, saddle certificates against brute-force grids and the
+"""Predictor tests: objective identity checks, the closed-form gradient and the
+root slopes against central differences, saddle certificates against brute-force grids and the
 nested golden-section oracle, and the exact perfect-knowledge reduction."""
 
 import math
@@ -135,37 +135,59 @@ class TestMaximizeOverBeta:
             maximize_over_beta(1e-9, REF_CFG, REF_PRIOR)
 
 
+def _cube(x):
+    """x^3 - 2 and its slope, whose root 2^(1/3) lies beyond the bracket [0.5, 1]."""
+    return x ** 3 - 2.0, 3.0 * x * x
+
+
+def _linear(root):
+    return lambda x: (x - root, 1.0)
+
+
 class TestBracketedRoot:
     def test_finds_root_and_counts_evaluations(self):
         calls = []
 
         def f(x):
             calls.append(x)
-            return x ** 3 - 2.0
+            return _cube(x)
 
         root, evals = bracketed_root(f, 0.5, 1.0, "tau")
         assert abs(root - 2.0 ** (1.0 / 3.0)) <= 1e-12
         assert evals == len(calls) and root == calls[-1]
 
     def test_root_at_bracket_end_closes_quickly(self):
-        # the root is within rounding of lo = 1, so the secant point rounds
-        # onto lo; the step kept inside the bracket closes it at once, where
-        # a midpoint fallback would bisect about 40 times
-        root, evals = bracketed_root(lambda x: x - 1.0 - 1e-17, 0.5, 2.0, "tau")
+        # the root is within rounding of 1, where the first Newton step lands
+        # with f = -1e-17; the next Newton point rounds onto that bracket end,
+        # and the step stop ends the search at once, where a midpoint
+        # fallback would bisect about 40 times
+        root, evals = bracketed_root(lambda x: (x - 1.0 - 1e-17, 1.0), 0.5, 2.0, "tau")
         assert abs(root - 1.0) <= 1e-12
         assert evals <= 6
 
+    def test_start_at_the_root_takes_one_evaluation(self):
+        root = 2.0 ** (1.0 / 3.0)
+        assert bracketed_root(_cube, 0.5, 2.0, "tau", start=root) == (root, 1)
+        # a start outside the open bracket is ignored
+        cold = bracketed_root(_cube, 0.5, 2.0, "tau")
+        assert bracketed_root(_cube, 0.5, 2.0, "tau", start=2.0) == cold
+
     def test_failures_raise(self, monkeypatch):
         with pytest.raises(NonConvergenceError, match="not above"):
-            bracketed_root(lambda x: x - 0.1, 0.5, 1.0, "tau")
+            bracketed_root(_linear(0.1), 0.5, 1.0, "tau")
+        # from a start above the root, the Newton point falls below lo, so lo
+        # is evaluated and fails the same test
+        with pytest.raises(NonConvergenceError, match="not above"):
+            bracketed_root(_linear(0.1), 0.5, 1.0, "tau", start=0.7)
         with pytest.raises(NonConvergenceError, match="cap") as err:
-            bracketed_root(lambda x: x - 2.0 * BRACKET_CAP, 0.5, 1.0, "beta", tau=3.0)
+            bracketed_root(_linear(2.0 * BRACKET_CAP), 0.5, 1.0, "beta", tau=3.0)
         assert err.value.tau == 3.0 and err.value.beta > BRACKET_CAP
         with pytest.raises(NonConvergenceError, match="NaN"):
-            bracketed_root(lambda x: math.nan if 0.5 < x < 1.0 else x - 0.7, 0.5, 1.0, "tau")
+            bracketed_root(lambda x: (math.nan, 1.0) if 0.5 < x < 1.0 else (x - 0.7, 1.0),
+                           0.5, 1.0, "tau")
         monkeypatch.setattr(predictor, "ROOT_MAX_EVALS", 5)
         with pytest.raises(NonConvergenceError, match="within 5 evaluations"):
-            bracketed_root(lambda x: x ** 3 - 2.0, 0.5, 1.0, "tau")
+            bracketed_root(_cube, 0.5, 1.0, "tau")
 
 
 def _central_gradient(tau, beta, cfg, p, h=1e-5):
@@ -187,9 +209,43 @@ class TestGradient:
     def test_matches_central_differences(self, cfg, p, lam):
         cfg = cfg.with_lam(lam)
         for tau, beta in ((0.3, 0.05), (0.6, 0.9), (1.2, 2.5)):
-            grad = predictor._gradient(tau, beta, cfg, p)
+            grad = predictor._derivatives(tau, beta, cfg, p)[:2]
             for got, want in zip(grad, _central_gradient(tau, beta, cfg, p)):
                 assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (tau, beta)
+
+
+class TestSlopes:
+    @pytest.mark.parametrize(
+        "cfg,p",
+        [(FIG1_CFG, REF_PRIOR), (HEAVY_CFG, REF_PRIOR), (ATOMS_CFG, ATOMS_PRIOR)],
+        ids=["fig1", "heavy", "three_atoms"],
+    )
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
+    def test_beta_slope_matches_central_differences(self, cfg, p, lam):
+        # the slope of the beta root's function -dD/dbeta in beta
+        cfg = cfg.with_lam(lam)
+        for tau, beta in ((0.3, 0.05), (0.6, 0.9), (1.2, 2.5)):
+            db = 1e-5 * beta
+            want = (predictor._derivatives(tau, beta - db, cfg, p)[1]
+                    - predictor._derivatives(tau, beta + db, cfg, p)[1]) / (2 * db)
+            got = predictor._derivatives(tau, beta, cfg, p)[2]
+            assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (tau, beta)
+
+    @pytest.mark.parametrize(
+        "cfg,p",
+        [(FIG1_CFG, REF_PRIOR), (HEAVY_CFG, REF_PRIOR), (ATOMS_CFG, ATOMS_PRIOR)],
+        ids=["fig1", "heavy", "three_atoms"],
+    )
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
+    def test_tau_slope_matches_central_differences(self, cfg, p, lam):
+        # the total slope of tau -> dD/dtau(tau, beta(tau)), beta(tau) the beta root
+        cfg = cfg.with_lam(lam)
+        for tau in (0.3, 0.6, 1.2):
+            dt = 1e-5 * tau
+            want = (predictor._beta_root(tau + dt, cfg, p)[1]
+                    - predictor._beta_root(tau - dt, cfg, p)[1]) / (2 * dt)
+            got = predictor._beta_root(tau, cfg, p)[2]
+            assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), tau
 
 
 class TestSolveScalar:
@@ -198,13 +254,23 @@ class TestSolveScalar:
         assert sol.converged
         assert sol.tau_star > 0 and sol.beta_star > 0
         # root-step counts: each tau evaluation runs one beta root, which
-        # evaluates the gradient at least twice
+        # evaluates the gradient at least once (once when its warm start is
+        # within the stopping step of the root)
         assert 3 <= sol.outer_iters <= ROOT_MAX_EVALS
-        assert 2 * sol.outer_iters <= sol.inner_iters_total <= ROOT_MAX_EVALS * sol.outer_iters
+        assert sol.outer_iters <= sol.inner_iters_total <= ROOT_MAX_EVALS * sol.outer_iters
         assert sol.objective == objective_D(sol.tau_star, sol.beta_star, REF_CFG, REF_PRIOR)
-        g_tau, g_beta = predictor._gradient(sol.tau_star, sol.beta_star, REF_CFG, REF_PRIOR)
+        g_tau, g_beta, _, _ = predictor._derivatives(sol.tau_star, sol.beta_star, REF_CFG,
+                                                      REF_PRIOR)
         assert sol.residual == (abs(sol.tau_star * g_tau), abs(sol.beta_star * g_beta))
         assert max(sol.residual) <= SADDLE_TOL * sol.objective
+
+    def test_newton_evaluation_count(self):
+        # gradient evaluations per solve on the fig-1 grid, outer and inner
+        counts = []
+        for lam in GRID:
+            sol = solve_scalar(FIG1_CFG.with_lam(lam), REF_PRIOR)
+            counts.append(sol.outer_iters + sol.inner_iters_total)
+        assert np.median(counts) <= 40, counts
 
     def test_residual_out_of_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(predictor, "SADDLE_TOL", 1e-30)
@@ -231,7 +297,8 @@ class TestSolveScalar:
         # delta in [0.1, 5], eps^2 up to 0.99, sigma_z^2 in [1e-4, 10], lambda in
         # [1e-4, 1e3], sparse Bernoulli and multi-atom priors: every solve is
         # certified, including small lambda at delta > 1, where the beta root
-        # sits on its analytic lower bound within rounding
+        # sits on its analytic lower bound within rounding.  At lambda = 1e4
+        # the estimate is zero: the MSE is E[X^2] and no entry is detected.
         rng = random.Random(3)
         for _ in range(150):
             if rng.random() < 0.5:
@@ -250,6 +317,11 @@ class TestSolveScalar:
             )
             sol = solve_scalar(cfg, p)
             assert max(sol.residual) <= SADDLE_TOL * sol.objective, cfg
+            large = cfg.with_lam(1e4)
+            sol = solve_scalar(large, p)
+            ex2 = p.second_moment()
+            assert abs(predict_mse(sol, large, p) - ex2) <= 1e-8 * ex2, large
+            assert predict_support(sol, large, p, 1e-3)[0] <= 1e-12, large
         # a draw whose tau search meets tau = 0.00386, where the beta root
         # lies on its lower bound 166.22 within rounding
         cfg = ModelConfig(delta=3.692916709345302, kappa=0.6612400753578219,
@@ -325,29 +397,36 @@ class TestPredictions:
 
     def test_perfect_knowledge_reduction_exact(self):
         # an independently assembled perfect-knowledge pipeline, built from the
-        # same root primitive and the reduced gradient, must agree bitwise
+        # same root primitive and the reduced gradient and slopes, must agree
+        # bitwise
         cfg = ModelConfig(delta=0.8, kappa=0.1, eps2=0.0, sigma_z2=0.2, lam=1.0)
         p = REF_PRIOR
 
-        def reduced_gradient(tau, beta):
+        def reduced_derivatives(tau, beta):
             # gamma = 1 and eps = 0, so s^2 = sigma_z^2
             chi = 2.0 * cfg.lam * tau / beta
-            e, abs_eta, inside = _prior_moments(p, 1.0, tau, chi)
+            e, abs_eta, inside, inside_chi, inside_tau = _prior_moments(p, 1.0, tau, chi)
             w = (0.5 * cfg.sigma_z2 + e - chi * abs_eta) / tau
             half = 0.5 * (cfg.delta - 1.0)
-            return beta * (half + inside - w / tau), tau * half + w - 0.5 * beta
+            clipped = chi * chi * (1.0 - inside) / tau
+            slope_beta = 0.5 + clipped / beta
+            w_tau = (tau * (inside - chi * inside_chi) + clipped - w) / tau
+            h_tb = half + w_tau
+            h_tt = beta * (inside_tau + inside_chi * chi / tau - (w_tau - w / tau) / tau)
+            return (beta * (half + inside - w / tau), tau * half + w - 0.5 * beta,
+                    slope_beta, h_tt + h_tb * h_tb / slope_beta)
 
-        last = {}
+        last = {"beta": math.nan}
 
         def reduced_beta_root(tau):
             def f(beta):
-                last["d_tau"], d_beta = reduced_gradient(tau, beta)
-                return -d_beta
+                last["d_tau"], d_beta, slope_beta, last["slope"] = reduced_derivatives(tau, beta)
+                return -d_beta, slope_beta
 
             hi = tau * cfg.delta + (cfg.sigma_z2 + p.second_moment()) / tau
             lo = max(0.5 * (tau * (cfg.delta - 1.0) + cfg.sigma_z2 / tau), 1e-9 * hi)
-            last["beta"], _ = bracketed_root(f, lo, hi, "beta")
-            return last["d_tau"]
+            last["beta"], _ = bracketed_root(f, lo, hi, "beta", start=last["beta"])
+            return last["d_tau"], last["slope"]
 
         lo = max(1e-6, 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta))
         tau_ref, _ = bracketed_root(reduced_beta_root, lo, 2.0 * lo, "tau")
