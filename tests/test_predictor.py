@@ -136,7 +136,7 @@ class TestMaximizeOverBeta:
 
 
 def _cube(x):
-    """x^3 - 2 and its slope, whose root 2^(1/3) lies beyond the bracket [0.5, 1]."""
+    """x^3 - 2 and its slope; the root 2^(1/3) lies above 1."""
     return x ** 3 - 2.0, 3.0 * x * x
 
 
