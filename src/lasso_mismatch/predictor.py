@@ -119,10 +119,18 @@ class ModelConfig:
 
     @classmethod
     def from_snr(cls, delta: float, kappa: float, eps2: float, snr: float, lam: float) -> "ModelConfig":
-        """Build a config specifying the noise through SNR: sigma_z2 = kappa / snr."""
-        if snr <= 0.0:
-            raise ValueError(f"snr must be positive, got {snr}")
-        return cls(delta=delta, kappa=kappa, eps2=eps2, sigma_z2=kappa / snr, lam=lam)
+        """Build a config specifying the noise through SNR: sigma_z2 = kappa / snr.
+
+        Raises ValueError naming snr when snr is not positive and finite, or
+        when kappa / snr is not (a tiny snr overflows it, a huge one underflows).
+        """
+        if not 0.0 < snr < math.inf:
+            raise ValueError(f"snr must be positive and finite, got {snr}")
+        sigma_z2 = kappa / snr
+        if not 0.0 < sigma_z2 < math.inf:
+            raise ValueError(
+                f"kappa / snr must be positive and finite, got {kappa} / {snr} = {sigma_z2}")
+        return cls(delta=delta, kappa=kappa, eps2=eps2, sigma_z2=sigma_z2, lam=lam)
 
     def with_lam(self, lam: float) -> "ModelConfig":
         return replace(self, lam=lam)

@@ -8,11 +8,11 @@ A sparse Bernoulli signal with sparsity kappa has mass kappa at 1 and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _gauss_moments, gauss_expect_e, gauss_expect_eta
+from .kernels import _gauss_moments, gauss_expect_eta
 
 __all__ = [
     "Prior",
@@ -30,10 +30,12 @@ class Prior:
     """Finite discrete marginal distribution: atoms of (value, probability).
 
     Atoms are stored sorted by value; values must be distinct and finite,
-    probabilities in (0, 1] and summing to one within 1e-12.
+    probabilities in (0, 1] and summing to one within 1e-12.  E[X^2] is
+    computed once here: the saddle solver reads it on every gradient.
     """
 
     atoms: tuple[tuple[float, float], ...]
+    _second_moment: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.atoms:
@@ -53,10 +55,11 @@ class Prior:
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1 within {_PROB_TOL}")
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "_second_moment", sum(p * v * v for v, p in atoms))
 
     def second_moment(self) -> float:
         """E[X^2] of the marginal."""
-        return sum(p * v * v for v, p in self.atoms)
+        return self._second_moment
 
     def zero_mass(self) -> float:
         """Probability of the atom at exactly zero (0.0 if absent)."""
@@ -94,7 +97,7 @@ def prior_expect_e(p: Prior, gamma: float, tau: float, chi: float) -> float:
     Expands to the probability-weighted sum of per-atom Gaussian expectations.
     """
     _check_args(gamma, tau, chi)
-    return sum(prob * gauss_expect_e(gamma * v, tau, chi) for v, prob in p.atoms)
+    return _prior_moments(p, gamma, tau, chi)[0]
 
 
 def prior_expect_eta_x0(p: Prior, gamma: float, tau: float, chi: float) -> float:

@@ -4,10 +4,10 @@ Instances follow y = H x0 + z, where the solver sees only A = gamma H + eps Omeg
 with gamma^2 + eps^2 = 1.  Given A, H = gamma A + eps G with G independent of A,
 so y = gamma A x0 + s xi with s^2 = sigma_z2 + eps^2 ||x0||^2 / n and xi ~ N(0, I).
 The LASSO (1/2)||y - A x||^2 + lam ||x||_1 is solved by accelerated proximal
-gradient with adaptive restart (FISTA).  Its step constant L starts from a
-few power steps on A^T A and adapts every iteration: it first tries a
-smaller L and doubles it until the Beck-Teboulle sufficient-decrease test
-certifies the step (Scheinberg, Goldfarb & Bai 2014 let L decrease).  It
+gradient with adaptive restart (FISTA).  Its step constant L starts from
+the largest squared column norm of A and adapts every iteration: it first
+tries a smaller L and doubles it until the Beck-Teboulle sufficient-decrease
+test certifies the step (Scheinberg, Goldfarb & Bai 2014 let L decrease).  It
 carries A x and A w so an iteration costs two matrix-vector products plus
 one per failed test, and once the sign pattern of the iterate settles it
 tries the exact solution on that pattern, returned only if it passes the
@@ -68,12 +68,12 @@ class Instance:
 class LassoResult:
     """Solution, iteration count, KKT residual and the final step constant L.
 
-    `matvecs` counts every product with A or A^T the solve took: power
-    steps, gradients, backtracking retries, KKT checks, exact-solve and
-    active-set search products.  `exact_solves` counts the dense
-    factorizations: each solve of an exact-solve attempt and the inverse
-    each search starts from.  `polished` is True when the solve ended in
-    the exact solve on a sign pattern.
+    `matvecs` counts every product with A or A^T the solve took: gradients,
+    backtracking retries, KKT checks, exact-solve and active-set search
+    products.  `exact_solves` counts the dense factorizations: each solve of
+    an exact-solve attempt and the inverse each search starts from.
+    `polished` is True when the solve ended in the exact solve on a sign
+    pattern.
     """
 
     x_hat: np.ndarray
@@ -147,31 +147,6 @@ def generate_instance(
     s = math.sqrt(cfg.sigma_z2 + cfg.eps2 * float(x0 @ x0) / n)
     y = cfg.gamma * (A @ x0) + rng.normal(0.0, s, size=m)
     return Instance(x0=x0, A=A, y=y, support=support)
-
-
-# power steps for the start value of the step constant L
-_POWER_STEPS = 5
-
-
-def _spectral_norm_sq(A: np.ndarray) -> float:
-    """Start value for the step constant: `_POWER_STEPS` power steps on A^T A.
-
-    The estimate is a lower bound on ||A||_2^2 that may fall well short of
-    it, and it is 0 when the flat start vector lies in the null space of A.
-    It is only a start: `solve_lasso` certifies every step by backtracking
-    and moves L down as well as up, so a converged estimate buys nothing.
-    """
-    n = A.shape[1]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    s = 0.0
-    for _ in range(_POWER_STEPS):
-        w = A.T @ (A @ v)
-        s = float(np.linalg.norm(w))
-        if s == 0.0:
-            # only the start vector can be annihilated: w lies in range(A^T A)
-            return 0.0
-        v = w / s
-    return s
 
 
 def _kkt_residual(g: np.ndarray, x: np.ndarray, lam: float) -> float:
@@ -373,16 +348,16 @@ def solve_lasso(
     lam: float,
     tol: float = 1e-10,
     max_iter: int = 20000,
-    lipschitz: float | None = None,
 ) -> LassoResult:
     """Minimize (1/2)||y - A x||^2 + lam ||x||_1 by accelerated proximal gradient.
 
     The step is 1/L, and the proximal map is soft thresholding at lam/L.
-    L starts from `lipschitz`, or from a few power steps on A^T A when it is
-    None.  Each iteration first tries L times 0.9 and doubles it until the
-    Beck-Teboulle sufficient-decrease test holds, so every accepted step is
-    certified while L follows the curvature along the steps actually taken,
-    down as well as up; L never exceeds ||A||_F^2, which bounds ||A||_2^2.
+    L starts from the largest squared column norm of A, which is positive
+    and at most ||A||_2^2.  Each iteration first tries L times 0.9 and
+    doubles it until the Beck-Teboulle sufficient-decrease test holds, so
+    every accepted step is certified while L follows the curvature along the
+    steps actually taken, down as well as up; L never exceeds ||A||_F^2,
+    which bounds ||A||_2^2.
     The products A x and A w are carried through the iterations, so an
     iteration costs two matrix-vector products plus one per failed test.
     Once the sign pattern of the iterate has held for a few iterations, the
@@ -392,11 +367,11 @@ def solve_lasso(
     violator), and the exact solution on its pattern is tried the same way;
     the search gives up, and FISTA goes on, at m entries or after a few
     dozen steps.  Either way the returned x depends only on (A, y, lam,
-    pattern), not on the path to the pattern.  Iterations stop once the relative objective change falls
-    below tol and the KKT residual is within the gate 10*tol*lam, floored at
-    64 ulps of ||A^T y||_inf, below which the residual is rounding; hitting
-    max_iter with a larger residual flags the result as non-converged (it
-    is still returned).
+    pattern), not on the path to the pattern.  Iterations stop once the
+    relative objective change falls below tol and the KKT residual is within
+    the gate 10*tol*lam, floored at 64 ulps of ||A^T y||_inf, below which the
+    residual is rounding; hitting max_iter with a larger residual flags the
+    result as non-converged (it is still returned).
     """
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
@@ -412,18 +387,9 @@ def solve_lasso(
     L_max = float(col_sq.sum())
     if not math.isfinite(L_max):
         raise ValueError("measurement matrix must be finite")
+    # a start below ||A||_2^2 is corrected by backtracking
+    L = float(col_sq.max())
     matvecs = exact_solves = 0
-    if lipschitz is None:
-        L = _spectral_norm_sq(A)
-        # a flat start in the null space of A stops after the first step
-        matvecs = 2 * _POWER_STEPS if L > 0.0 else 2
-    else:
-        L = lipschitz
-    if not L > 0.0:
-        # a start below ||A||_2^2 is corrected by backtracking; the largest
-        # squared column norm is one, and it is positive for nonzero A
-        L = float(col_sq.max())
-    L = min(L, L_max)
 
     kkt_gate = 10.0 * tol * lam
     x = np.zeros(n)
@@ -539,10 +505,9 @@ def _run_trial(cfg: ModelConfig, p: Prior, n: int, xi: float, seed: int, index: 
                lambdas: tuple[float, ...], max_iter: int) -> list[TrialResult]:
     """One trial's instance, solved at every lambda; the instance dies on return."""
     inst = generate_instance(cfg, p, n, _trial_rng(seed, index))
-    L = _spectral_norm_sq(inst.A)
     results = []
     for lam in lambdas:
-        res = solve_lasso(inst.A, inst.y, lam, max_iter=max_iter, lipschitz=L)
+        res = solve_lasso(inst.A, inst.y, lam, max_iter=max_iter)
         results.append(empirical_metrics(res.x_hat, inst, xi, solver=res))
     return results
 

@@ -53,6 +53,11 @@ class TestModelConfig:
     def test_from_snr(self):
         cfg = ModelConfig.from_snr(delta=0.8, kappa=0.1, eps2=0.1, snr=0.5, lam=1.0)
         assert cfg.sigma_z2 == pytest.approx(0.2, abs=1e-15)
+        # kappa / snr overflows at snr = 1e-320 and vanishes at snr = inf;
+        # either way the error names snr, not sigma_z2
+        for snr in (0.0, -0.5, math.inf, math.nan, 1e-320):
+            with pytest.raises(ValueError, match="snr"):
+                ModelConfig.from_snr(delta=0.8, kappa=0.1, eps2=0.1, snr=snr, lam=1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
