@@ -17,7 +17,8 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .predictor import ModelConfig, NonConvergenceError, predict_report
+from .kernels import _check_positive
+from .predictor import ModelConfig, predict_report
 from .prior import sparse_bernoulli
 from .simulator import _instance_size, run_grid
 
@@ -139,9 +140,8 @@ class SweepSpec:
                 raise UsageError(f"trials must be at least 1, got {self.trials}")
             if self.seed < 0:
                 raise UsageError(f"seed must be nonnegative, got {self.seed}")
-        if not 0.0 < self.xi < math.inf:
-            raise UsageError(f"xi must be positive and finite, got {self.xi}")
         try:
+            _check_positive("xi", self.xi)
             # lambda does not change what else the model accepts
             base = ModelConfig(delta=self.delta, kappa=self.kappa, eps2=self.eps2,
                                sigma_z2=self.sigma_z2, lam=self.lambda_grid[0])
@@ -212,13 +212,13 @@ def parse_args(argv: list[str]) -> SweepSpec:
             raise UsageError(f"missing required flags: {', '.join(missing)}")
         if ns.sigma_z2 is None and ns.snr is None:
             raise UsageError("one of --sigma-z2 or --snr is required")
-        if ns.snr is not None and not 0.0 < ns.snr < math.inf:
-            raise UsageError(f"snr must be positive and finite, got {ns.snr}")
-        delta, kappa, eps2 = ns.delta, ns.kappa, ns.eps2
-        sigma_z2 = ns.sigma_z2 if ns.sigma_z2 is not None else kappa / ns.snr
-        if ns.sigma_z2 is None and not 0.0 < sigma_z2 < math.inf:
-            raise UsageError(f"kappa / snr must be positive and finite, "
-                             f"got {kappa} / {ns.snr} = {sigma_z2}")
+        delta, kappa, eps2, sigma_z2 = ns.delta, ns.kappa, ns.eps2, ns.sigma_z2
+        if sigma_z2 is None:
+            try:
+                # lambda does not change what from_snr accepts
+                sigma_z2 = ModelConfig.from_snr(delta, kappa, eps2, ns.snr, lam=1.0).sigma_z2
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
 
         if ns.lambda_list is not None:
             if any(v is not None for v in (ns.lambda_min, ns.lambda_max, ns.lambda_steps)):
@@ -273,7 +273,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 row["mse_theory"] = report.mse
                 row["phi_on_theory"] = report.phi_on
                 row["phi_off_theory"] = report.phi_off
-        except (ValueError, NonConvergenceError, RuntimeError) as exc:
+        except (ValueError, RuntimeError) as exc:
             raise ComputationError(f"lambda={lam:g}: {exc}") from exc
         rows.append(row)
     if spec.mode in ("simulate", "both"):

@@ -51,15 +51,20 @@ def _check_finite(name: str, x: float) -> float:
     return x
 
 
+def _check_positive(name: str, x: float) -> float:
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    return x
+
+
 def soft_threshold(a: float, t: float) -> float:
     """Soft-thresholding eta(a; t): shrink a toward zero by t with a dead zone.
 
     Ties |a| == t belong to the dead zone, which keeps eta continuous.
     """
     a = _check_finite("a", a)
-    t = _check_finite("t", t)
-    if t <= 0.0:
-        raise ValueError(f"threshold must be positive, got {t}")
+    t = _check_positive("t", t)
     if a > t:
         return a - t
     if a < -t:
@@ -70,9 +75,7 @@ def soft_threshold(a: float, t: float) -> float:
 def soft_threshold_value(a: float, t: float) -> float:
     """Optimal value e(a; t) = min_x (x - a)^2 / 2 + t |x| of the shrinkage problem."""
     a = _check_finite("a", a)
-    t = _check_finite("t", t)
-    if t <= 0.0:
-        raise ValueError(f"threshold must be positive, got {t}")
+    t = _check_positive("t", t)
     if a > t:
         return t * a - 0.5 * t * t
     if a < -t:
@@ -99,14 +102,8 @@ def q_function(x: float) -> float:
 
 
 def _check_gauss_args(mean: float, spread: float, threshold: float) -> tuple[float, float, float]:
-    mean = _check_finite("mean", mean)
-    spread = _check_finite("spread", spread)
-    threshold = _check_finite("threshold", threshold)
-    if spread <= 0.0:
-        raise ValueError(f"spread must be positive, got {spread}")
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    return mean, spread, threshold
+    return (_check_finite("mean", mean), _check_positive("spread", spread),
+            _check_positive("threshold", threshold))
 
 
 def _gauss_moments(mu: float, tau: float, chi: float) -> tuple[float, float, float, float, float]:
@@ -136,7 +133,7 @@ def _gauss_moments(mu: float, tau: float, chi: float) -> tuple[float, float, flo
 def gauss_expect_e(mean: float, spread: float, threshold: float) -> float:
     """E_H[e(mean + spread*H; threshold)] for H standard normal, in closed form.
 
-    spread and threshold must be positive; all three must be finite.
+    mean must be finite; spread and threshold positive and finite.
     """
     return _gauss_moments(*_check_gauss_args(mean, spread, threshold))[0]
 
@@ -144,7 +141,7 @@ def gauss_expect_e(mean: float, spread: float, threshold: float) -> float:
 def gauss_expect_eta(mean: float, spread: float, threshold: float) -> float:
     """E_H[eta(mean + spread*H; threshold)] for H standard normal, in closed form.
 
-    spread and threshold must be positive; all three must be finite.
+    mean must be finite; spread and threshold positive and finite.
     """
     mu, tau, chi = _check_gauss_args(mean, spread, threshold)
     up = (chi - mu) / tau

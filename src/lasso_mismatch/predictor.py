@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .kernels import q_function
+from .kernels import _check_positive, q_function
 from .prior import Prior, _prior_moments, prior_expect_e, prior_expect_eta_x0
 
 __all__ = [
@@ -92,20 +92,15 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         for name in ("delta", "kappa", "eps2", "sigma_z2", "lam"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+            object.__setattr__(self, name, float(getattr(self, name)))
+        # in declaration order; the range tests reject NaN and +-inf too
+        _check_positive("delta", self.delta)
         if not (0.0 < self.kappa < 1.0):
             raise ValueError(f"kappa must be in (0, 1), got {self.kappa}")
         if not (0.0 <= self.eps2 < 1.0):
             raise ValueError(f"eps2 must be in [0, 1), got {self.eps2}")
-        if self.sigma_z2 <= 0.0:
-            raise ValueError(f"sigma_z2 must be positive, got {self.sigma_z2}")
-        if self.lam <= 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        _check_positive("sigma_z2", self.sigma_z2)
+        _check_positive("lam", self.lam)
 
     @property
     def gamma(self) -> float:
@@ -122,15 +117,16 @@ class ModelConfig:
         """Build a config specifying the noise through SNR: sigma_z2 = kappa / snr.
 
         Raises ValueError naming snr when snr is not positive and finite, or
-        when kappa / snr is not (a tiny snr overflows it, a huge one underflows).
+        when kappa / snr is not (a tiny snr overflows it, a huge one underflows);
+        a bad delta, kappa, eps2 or lam is reported first, by the config's rules.
         """
-        if not 0.0 < snr < math.inf:
-            raise ValueError(f"snr must be positive and finite, got {snr}")
-        sigma_z2 = kappa / snr
+        snr = _check_positive("snr", snr)
+        cfg = cls(delta=delta, kappa=kappa, eps2=eps2, sigma_z2=1.0, lam=lam)
+        sigma_z2 = cfg.kappa / snr
         if not 0.0 < sigma_z2 < math.inf:
             raise ValueError(
-                f"kappa / snr must be positive and finite, got {kappa} / {snr} = {sigma_z2}")
-        return cls(delta=delta, kappa=kappa, eps2=eps2, sigma_z2=sigma_z2, lam=lam)
+                f"kappa / snr must be positive and finite, got {cfg.kappa} / {snr} = {sigma_z2}")
+        return replace(cfg, sigma_z2=sigma_z2)
 
     def with_lam(self, lam: float) -> "ModelConfig":
         return replace(self, lam=lam)
@@ -138,17 +134,17 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ScalarSolution:
-    """Saddle point of the scalar min-max problem with convergence metadata.
+    """Saddle point of the scalar min-max problem, certified by its residual.
 
     outer_iters counts the tau root's Newton-search evaluations (one beta
-    root each), inner_iters_total the beta roots' gradient evaluations;
-    residual is (|tau dD/dtau|, |beta dD/dbeta|) at the saddle.
+    root each), inner_iters_total the beta roots' gradient evaluations.
+    residual is (|tau dD/dtau|, |beta dD/dbeta|), at most SADDLE_TOL * D:
+    solve_scalar raises rather than return a saddle that fails this.
     """
 
     tau_star: float
     beta_star: float
     objective: float
-    converged: bool
     outer_iters: int
     inner_iters_total: int
     residual: tuple[float, float]
@@ -163,11 +159,6 @@ class PredictionReport:
     phi_off: float
     xi: float
     solution: ScalarSolution
-
-
-def _check_positive(name: str, x: float) -> None:
-    if x <= 0.0 or not math.isfinite(x):
-        raise ValueError(f"{name} must be positive and finite, got {x}")
 
 
 def objective_D(tau: float, beta: float, cfg: ModelConfig, p: Prior) -> float:
@@ -364,7 +355,7 @@ def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
     if not max(residual) <= SADDLE_TOL * value:
         raise NonConvergenceError(f"saddle residual {max(residual):.3g} exceeds "
                                   f"{SADDLE_TOL:g} * D = {value:.6g}", tau=tau, beta=beta)
-    return ScalarSolution(tau_star=tau, beta_star=beta, objective=value, converged=True,
+    return ScalarSolution(tau_star=tau, beta_star=beta, objective=value,
                           outer_iters=outer_evals, inner_iters_total=inner_total, residual=residual)
 
 
@@ -374,8 +365,6 @@ def predict_mse(sol: ScalarSolution, cfg: ModelConfig, p: Prior) -> float:
     delta*tau*^2 - sigma_z^2 plus a correction proportional to (gamma - 1)
     that vanishes when the measurement matrix is perfectly known.
     """
-    if not sol.converged:
-        raise ValueError("prediction requires a converged scalar solution")
     chi = 2.0 * cfg.lam * sol.tau_star / sol.beta_star
     correction = 2.0 * (cfg.gamma - 1.0) * prior_expect_eta_x0(p, cfg.gamma, sol.tau_star, chi)
     return cfg.delta * sol.tau_star ** 2 - cfg.sigma_z2 + correction
@@ -391,10 +380,7 @@ def predict_support(
     Q((xi + gamma*v)/tau* + 2 lam/beta*) + Q((xi - gamma*v)/tau* + 2 lam/beta*);
     for a sparse Bernoulli prior this is the single-atom v = 1 expression.
     """
-    if not sol.converged:
-        raise ValueError("prediction requires a converged scalar solution")
-    if xi <= 0.0 or not math.isfinite(xi):
-        raise ValueError(f"xi must be positive and finite, got {xi}")
+    _check_positive("xi", xi)
     tau, beta = sol.tau_star, sol.beta_star
     shift = 2.0 * cfg.lam / beta
     phi_off = 1.0 - 2.0 * q_function(xi / tau + shift)

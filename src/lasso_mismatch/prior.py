@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _gauss_moments, gauss_expect_eta
+from .kernels import _check_positive, _gauss_moments, gauss_expect_eta
 
 __all__ = [
     "Prior",
@@ -85,10 +85,8 @@ def sparse_bernoulli(kappa: float) -> Prior:
 def _check_args(gamma: float, tau: float, chi: float) -> None:
     if not (0.0 < gamma <= 1.0):
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    if tau <= 0.0 or not math.isfinite(tau):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    if chi <= 0.0 or not math.isfinite(chi):
-        raise ValueError(f"chi must be positive and finite, got {chi}")
+    _check_positive("tau", tau)
+    _check_positive("chi", chi)
 
 
 def prior_expect_e(p: Prior, gamma: float, tau: float, chi: float) -> float:

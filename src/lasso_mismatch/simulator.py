@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _check_positive
 from .predictor import ModelConfig
 from .prior import Prior, sample_on_support
 
@@ -373,8 +374,7 @@ def solve_lasso(
     residual is rounding; hitting max_iter with a larger residual flags the
     result as non-converged (it is still returned).
     """
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam}")
+    _check_positive("lam", lam)
     m, n = A.shape
     if y.shape != (m,):
         raise ValueError(f"y has shape {y.shape}, expected ({m},)")
@@ -477,8 +477,7 @@ def empirical_metrics(
     solver: LassoResult | None = None,
 ) -> TrialResult:
     """Per-trial MSE and support-recovery rates at hard threshold xi."""
-    if not 0.0 < xi < math.inf:
-        raise ValueError(f"xi must be positive and finite, got {xi}")
+    _check_positive("xi", xi)
     n = inst.x0.shape[0]
     k = inst.support.shape[0]
     mse = float(np.sum((x_hat - inst.x0) ** 2)) / n

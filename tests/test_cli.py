@@ -289,6 +289,8 @@ class TestMainExitCodes:
         ("--snr", "-0.5"),
         ("--snr", "0"),
         ("--snr", "1e-320"),
+        ("--snr", "inf"),
+        ("--snr", "nan"),
     ])
     def test_bad_model_flag_is_usage_error(self, capsys, flag, value):
         # these used to exit 2 as computation errors, --snr 0 raised

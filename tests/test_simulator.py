@@ -156,7 +156,7 @@ class TestSolveLasso:
             solve_lasso(np.eye(4), np.array([1.0, np.nan, 0.0, 0.0]), 1.0)
         with pytest.raises(ValueError, match="finite"):
             solve_lasso(np.diag([1.0, np.inf, 1.0, 1.0]), np.ones(4), 1.0)
-        for lam in (math.inf, math.nan):
+        for lam in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="lam"):
                 solve_lasso(np.eye(4), np.ones(4), lam)
 
