@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .kernels import _check_positive
 from .predictor import ModelConfig, predict_report
 from .prior import sparse_bernoulli
-from .simulator import _instance_size, run_grid
+from .simulator import _check_run, run_grid
 
 __all__ = [
     "SweepSpec",
@@ -136,17 +136,13 @@ class SweepSpec:
         if simulate:
             if self.n is None or self.trials is None:
                 raise UsageError(f"mode {self.mode} requires --n and --trials")
-            if self.trials < 1:
-                raise UsageError(f"trials must be at least 1, got {self.trials}")
-            if self.seed < 0:
-                raise UsageError(f"seed must be nonnegative, got {self.seed}")
         try:
             _check_positive("xi", self.xi)
             # lambda does not change what else the model accepts
             base = ModelConfig(delta=self.delta, kappa=self.kappa, eps2=self.eps2,
                                sigma_z2=self.sigma_z2, lam=self.lambda_grid[0])
             if simulate:
-                _instance_size(base, self.n)
+                _check_run(base, self.n, self.trials, self.seed)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
@@ -202,9 +198,8 @@ def parse_args(argv: list[str]) -> SweepSpec:
                 f"--reproduce-fig pins the base configuration; drop {', '.join(conflicting)}"
             )
         preset = _FIG_PRESETS[ns.reproduce_fig]
-        delta, kappa, eps2 = preset["delta"], preset["kappa"], preset["eps2"]
-        sigma_z2 = kappa / preset["snr"]
-        grid = preset["grid"]
+        delta, kappa, eps2, snr = preset["delta"], preset["kappa"], preset["eps2"], preset["snr"]
+        sigma_z2, grid = None, preset["grid"]
     else:
         missing = [name for name, val in (
             ("--delta", ns.delta), ("--kappa", ns.kappa), ("--eps2", ns.eps2)) if val is None]
@@ -212,14 +207,7 @@ def parse_args(argv: list[str]) -> SweepSpec:
             raise UsageError(f"missing required flags: {', '.join(missing)}")
         if ns.sigma_z2 is None and ns.snr is None:
             raise UsageError("one of --sigma-z2 or --snr is required")
-        delta, kappa, eps2, sigma_z2 = ns.delta, ns.kappa, ns.eps2, ns.sigma_z2
-        if sigma_z2 is None:
-            try:
-                # lambda does not change what from_snr accepts
-                sigma_z2 = ModelConfig.from_snr(delta, kappa, eps2, ns.snr, lam=1.0).sigma_z2
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-
+        delta, kappa, eps2, sigma_z2, snr = ns.delta, ns.kappa, ns.eps2, ns.sigma_z2, ns.snr
         if ns.lambda_list is not None:
             if any(v is not None for v in (ns.lambda_min, ns.lambda_max, ns.lambda_steps)):
                 raise UsageError("--lambda-list excludes --lambda-min/--lambda-max/--lambda-steps")
@@ -239,6 +227,13 @@ def parse_args(argv: list[str]) -> SweepSpec:
             else:
                 step = (ns.lambda_max - ns.lambda_min) / (ns.lambda_steps - 1)
                 grid = tuple(ns.lambda_min + step * i for i in range(ns.lambda_steps))
+
+    if sigma_z2 is None:
+        try:
+            # lambda does not change what from_snr accepts
+            sigma_z2 = ModelConfig.from_snr(delta, kappa, eps2, snr, lam=1.0).sigma_z2
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
     try:
         return SweepSpec(

@@ -129,6 +129,15 @@ def _instance_size(cfg: ModelConfig, n: int) -> tuple[int, int]:
     return m, k
 
 
+def _check_run(cfg: ModelConfig, n: int, trials: int, seed: int) -> None:
+    """ValueError unless trials >= 1, seed >= 0 and n gives a valid instance size."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _instance_size(cfg, n)
+
+
 def generate_instance(
     cfg: ModelConfig, p: Prior, n: int, rng: np.random.Generator
 ) -> Instance:
@@ -380,13 +389,9 @@ def solve_lasso(
         raise ValueError(f"y has shape {y.shape}, expected ({m},)")
     if not np.isfinite(y).all():
         raise ValueError("y must be finite")
-    if not A.any():
-        raise ValueError("measurement matrix is identically zero")
     col_sq = np.einsum("ij,ij->j", A, A)
     # ||A||_F^2 >= ||A||_2^2, so backtracking never needs L above it
-    L_max = float(col_sq.sum())
-    if not math.isfinite(L_max):
-        raise ValueError("measurement matrix must be finite")
+    L_max = _check_positive("||A||_F^2", col_sq.sum())
     # a start below ||A||_2^2 is corrected by backtracking
     L = float(col_sq.max())
     matvecs = exact_solves = 0
@@ -470,13 +475,9 @@ def solve_lasso(
                        polished=False)
 
 
-def empirical_metrics(
-    x_hat: np.ndarray,
-    inst: Instance,
-    xi: float,
-    solver: LassoResult | None = None,
-) -> TrialResult:
-    """Per-trial MSE and support-recovery rates at hard threshold xi."""
+def empirical_metrics(x_hat: np.ndarray, inst: Instance,
+                      xi: float) -> tuple[float, float, float]:
+    """Per-trial (MSE, on-support rate, off-support rate) at hard threshold xi."""
     _check_positive("xi", xi)
     n = inst.x0.shape[0]
     k = inst.support.shape[0]
@@ -485,30 +486,12 @@ def empirical_metrics(
     off_mask[inst.support] = False
     phi_on = float(np.count_nonzero(np.abs(x_hat[inst.support]) >= xi)) / k
     phi_off = float(np.count_nonzero(np.abs(x_hat[off_mask]) <= xi)) / (n - k)
-    return TrialResult(
-        mse=mse,
-        phi_on=phi_on,
-        phi_off=phi_off,
-        solver_iters=solver.iters if solver is not None else 0,
-        kkt_residual=solver.kkt_residual if solver is not None else 0.0,
-        converged=solver.converged if solver is not None else True,
-    )
+    return mse, phi_on, phi_off
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     """Independent, deterministic random stream for one trial."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
-def _run_trial(cfg: ModelConfig, p: Prior, n: int, xi: float, seed: int, index: int,
-               lambdas: tuple[float, ...], max_iter: int) -> list[TrialResult]:
-    """One trial's instance, solved at every lambda; the instance dies on return."""
-    inst = generate_instance(cfg, p, n, _trial_rng(seed, index))
-    results = []
-    for lam in lambdas:
-        res = solve_lasso(inst.A, inst.y, lam, max_iter=max_iter)
-        results.append(empirical_metrics(res.x_hat, inst, xi, solver=res))
-    return results
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -543,7 +526,6 @@ def run_grid(
     seed: int,
     lambdas: tuple[float, ...],
     workers: int = 1,
-    max_iter: int = 20000,
 ) -> tuple[EmpiricalReport, ...]:
     """Run independent trials over a lambda grid; one report per lambda, in order.
 
@@ -554,17 +536,21 @@ def run_grid(
     lambda, any worker count and any execution order.  Non-converged solver
     runs are recorded, not dropped.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_run(cfg, n, trials, seed)
     lambdas = tuple(lambdas)
     if not lambdas or not all(0.0 < lam < math.inf for lam in lambdas):
         raise ValueError(
             f"lambdas must be a nonempty list of positive finite values, got {lambdas}")
 
     def trial(i: int) -> list[TrialResult]:
-        return _run_trial(cfg, p, n, xi, seed, i, lambdas, max_iter)
+        # the instance is freed on return: at most `workers` matrices are alive
+        inst = generate_instance(cfg, p, n, _trial_rng(seed, i))
+        results = []
+        for lam in lambdas:
+            res = solve_lasso(inst.A, inst.y, lam)
+            results.append(TrialResult(*empirical_metrics(res.x_hat, inst, xi),
+                                       res.iters, res.kkt_residual, res.converged))
+        return results
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -582,11 +568,10 @@ def run_trials(
     xi: float,
     seed: int,
     workers: int = 1,
-    max_iter: int = 20000,
 ) -> EmpiricalReport:
     """Run independent trials at cfg.lam and aggregate means and standard errors.
 
     The one-lambda case of `run_grid`: the report equals, bit for bit, the
     cell of cfg.lam in any grid run with the same arguments.
     """
-    return run_grid(cfg, p, n, trials, xi, seed, (cfg.lam,), workers, max_iter)[0]
+    return run_grid(cfg, p, n, trials, xi, seed, (cfg.lam,), workers)[0]

@@ -3,6 +3,7 @@ cases and a coordinate-descent oracle, step certification, the exact solve on
 the identified support, metric counting, the trial-first lambda grid, and
 determinism."""
 
+import functools
 import math
 
 import numpy as np
@@ -150,8 +151,12 @@ class TestSolveLasso:
             solve_lasso(np.eye(4), np.zeros(4), 0.0)
         with pytest.raises(ValueError):
             solve_lasso(np.eye(4), np.zeros(3), 1.0)
-        with pytest.raises(ValueError, match="identically zero"):
+        with pytest.raises(ValueError, match=r"^\|\|A\|\|_F\^2 must be positive"):
             solve_lasso(np.zeros((3, 4)), np.ones(3), 1.0)
+        # nonzero, but every squared entry underflows: ||A||_F^2 is 0 in floating point
+        tiny = 1e-170 * np.random.default_rng(0).normal(size=(3, 4))
+        with pytest.raises(ValueError, match=r"^\|\|A\|\|_F\^2 must be positive"):
+            solve_lasso(tiny, np.ones(3), 1.0)
         with pytest.raises(ValueError, match="finite"):
             solve_lasso(np.eye(4), np.array([1.0, np.nan, 0.0, 0.0]), 1.0)
         with pytest.raises(ValueError, match="finite"):
@@ -489,33 +494,32 @@ class TestEmpiricalMetrics:
 
     def test_exact_recovery(self):
         inst = self._tiny_instance()
-        t = empirical_metrics(inst.x0.copy(), inst, xi=0.5)
-        assert (t.mse, t.phi_on, t.phi_off) == (0.0, 1.0, 1.0)
+        assert empirical_metrics(inst.x0.copy(), inst, xi=0.5) == (0.0, 1.0, 1.0)
 
     def test_zero_estimate(self):
         inst = self._tiny_instance()
-        t = empirical_metrics(np.zeros(4), inst, xi=0.5)
-        assert t.mse == pytest.approx(4.0 / 4.0)  # ||x0||^2 / n
-        assert t.phi_on == 0.0
-        assert t.phi_off == 1.0
+        mse, phi_on, phi_off = empirical_metrics(np.zeros(4), inst, xi=0.5)
+        assert mse == pytest.approx(4.0 / 4.0)  # ||x0||^2 / n
+        assert phi_on == 0.0
+        assert phi_off == 1.0
 
     def test_hand_enumerated_case(self):
         inst = self._tiny_instance()
         x_hat = np.array([0.6, 1.0, 0.4, 0.0])
-        t = empirical_metrics(x_hat, inst, xi=0.5)
-        assert t.mse == pytest.approx((0.36 + 1.0 + 0.16) / 4.0)
-        assert t.phi_on == 1.0          # |1.0| >= 0.5
-        assert t.phi_off == pytest.approx(2.0 / 3.0)  # 0.4 and 0.0 pass, 0.6 fails
+        mse, phi_on, phi_off = empirical_metrics(x_hat, inst, xi=0.5)
+        assert mse == pytest.approx((0.36 + 1.0 + 0.16) / 4.0)
+        assert phi_on == 1.0          # |1.0| >= 0.5
+        assert phi_off == pytest.approx(2.0 / 3.0)  # 0.4 and 0.0 pass, 0.6 fails
 
     def test_counts_are_rational_with_right_denominator(self):
         rng = np.random.default_rng(6)
         inst = generate_instance(CFG, PRIOR, 64, rng)
         res = solve_lasso(inst.A, inst.y, CFG.lam)
-        t = empirical_metrics(res.x_hat, inst, xi=1e-3, solver=res)
+        _, phi_on, phi_off = empirical_metrics(res.x_hat, inst, xi=1e-3)
         k = inst.support.size
         n = inst.x0.size
-        assert (t.phi_on * k) == pytest.approx(round(t.phi_on * k), abs=1e-9)
-        assert (t.phi_off * (n - k)) == pytest.approx(round(t.phi_off * (n - k)), abs=1e-9)
+        assert (phi_on * k) == pytest.approx(round(phi_on * k), abs=1e-9)
+        assert (phi_off * (n - k)) == pytest.approx(round(phi_off * (n - k)), abs=1e-9)
 
     def test_xi_validation(self):
         inst = self._tiny_instance()
@@ -550,10 +554,11 @@ class TestRunTrials:
             for ta, to in zip(a.trials, other.trials):
                 assert ta == to
 
-    def test_nonconverged_counted_not_dropped(self):
+    def test_nonconverged_counted_not_dropped(self, monkeypatch):
         # starve the solver at a lambda small enough that zero is never optimal
+        monkeypatch.setattr(simulator, "solve_lasso", functools.partial(solve_lasso, max_iter=2))
         cfg = CFG.with_lam(0.301)
-        rep = run_trials(cfg, PRIOR, n=64, trials=3, xi=1e-3, seed=1, max_iter=2)
+        rep = run_trials(cfg, PRIOR, n=64, trials=3, xi=1e-3, seed=1)
         assert len(rep.trials) == 3
         assert rep.nonconverged_trials == 3
         for t in rep.trials:
@@ -575,9 +580,7 @@ class TestRunGrid:
         assert len(reports) == len(self.GRID)
         for lam, cell in zip(self.GRID, reports):
             alone = run_trials(CFG.with_lam(lam), PRIOR, n=64, trials=5, xi=1e-3, seed=21)
-            assert cell.mean_mse == pytest.approx(alone.mean_mse, abs=1e-9)
-            assert [(t.phi_on, t.phi_off) for t in cell.trials] == [
-                (t.phi_on, t.phi_off) for t in alone.trials]
+            assert cell == alone
 
     def test_one_lambda_sweep_row_equals_grid_row(self):
         base = "--delta 0.8 --kappa 0.1 --eps2 0.2 --snr 0.5 --mode simulate --n 64 --trials 4"
@@ -585,7 +588,8 @@ class TestRunGrid:
         grid = cli.run_sweep(cli.parse_args((base + " --lambda-list 0.01,0.41,1.21").split()))
         assert one[0] == grid[1]
 
-    def test_instance_generated_once_per_trial(self, monkeypatch):
+    @staticmethod
+    def _count_instances(monkeypatch) -> list:
         calls = []
 
         def counting(*args, **kwargs):
@@ -593,13 +597,23 @@ class TestRunGrid:
             return generate_instance(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "generate_instance", counting)
+        return calls
+
+    def test_instance_generated_once_per_trial(self, monkeypatch):
+        calls = self._count_instances(monkeypatch)
         run_grid(CFG, PRIOR, n=64, trials=4, xi=1e-3, seed=2, lambdas=self.GRID)
         assert len(calls) == 4
+
+    def test_bad_size_fails_before_any_instance(self, monkeypatch):
+        calls = self._count_instances(monkeypatch)
+        with pytest.raises(ValueError, match="n must be at least 8"):
+            run_grid(CFG, PRIOR, n=4, trials=4, xi=1e-3, seed=2, lambdas=self.GRID)
+        assert calls == []
 
     def test_validation(self):
         for bad in ((), (0.5, 0.0), (math.nan,), (0.5, math.inf)):
             with pytest.raises(ValueError, match="lambdas"):
-                run_grid(CFG, PRIOR, n=64, trials=1, xi=1e-3, seed=0, lambdas=bad, max_iter=50)
+                run_grid(CFG, PRIOR, n=64, trials=1, xi=1e-3, seed=0, lambdas=bad)
 
 
 class TestConvergenceInProblemSize:
