@@ -20,14 +20,12 @@ The Monte Carlo loop runs over trials first, then over lambda: instances do
 not depend on lambda, so each trial draws its instance once, from a
 deterministically derived per-trial random substream, and solves the whole
 lambda grid on it with independent (not warm-started) solves.  Results are
-reproducible bit for bit regardless of grid, execution order or worker
-count.
+reproducible bit for bit regardless of the grid that contains a lambda.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +174,8 @@ _POLISH_AFTER = 5
 _STEP_FLOOR = 1e-12
 # KKT residuals below this many ulps of ||A^T y||_inf are rounding level
 _KKT_FLOOR = 64.0 * np.finfo(float).eps
+# smallest normal float: a smaller ||A||_F^2 makes the gradient subnormal
+_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
@@ -382,8 +382,12 @@ def solve_lasso(
     the gate 10*tol*lam, floored at 64 ulps of ||A^T y||_inf, below which the
     residual is rounding; hitting max_iter with a larger residual flags the
     result as non-converged (it is still returned).
+    ||A||_F^2 must be finite and at least the smallest normal float: the
+    gradient and |A d|^2 scale with it, and as subnormals they lose the bits
+    the step test and the KKT residual need, so a wrong x could pass the gate.
     """
     _check_positive("lam", lam)
+    _check_positive("tol", tol)
     m, n = A.shape
     if y.shape != (m,):
         raise ValueError(f"y has shape {y.shape}, expected ({m},)")
@@ -391,7 +395,10 @@ def solve_lasso(
         raise ValueError("y must be finite")
     col_sq = np.einsum("ij,ij->j", A, A)
     # ||A||_F^2 >= ||A||_2^2, so backtracking never needs L above it
-    L_max = _check_positive("||A||_F^2", col_sq.sum())
+    L_max = float(col_sq.sum())
+    if not _NORMAL_MIN <= L_max < math.inf:
+        raise ValueError(f"||A||_F^2 must be positive, finite and at least the smallest "
+                         f"normal float {_NORMAL_MIN!r}, got {L_max!r}")
     # a start below ||A||_2^2 is corrected by backtracking
     L = float(col_sq.max())
     matvecs = exact_solves = 0
@@ -525,7 +532,6 @@ def run_grid(
     xi: float,
     seed: int,
     lambdas: tuple[float, ...],
-    workers: int = 1,
 ) -> tuple[EmpiricalReport, ...]:
     """Run independent trials over a lambda grid; one report per lambda, in order.
 
@@ -533,31 +539,26 @@ def run_grid(
     draws its instance once, from a random substream derived from (seed,
     trial index), and solves every lambda on it.  Each solve is independent
     of the others, so a report is identical for any grid that contains its
-    lambda, any worker count and any execution order.  Non-converged solver
-    runs are recorded, not dropped.
+    lambda.  Trials run in order, one instance alive at a time.
+    Non-converged solver runs are recorded, not dropped.
     """
     _check_run(cfg, n, trials, seed)
+    _check_positive("xi", xi)
     lambdas = tuple(lambdas)
     if not lambdas or not all(0.0 < lam < math.inf for lam in lambdas):
         raise ValueError(
             f"lambdas must be a nonempty list of positive finite values, got {lambdas}")
 
-    def trial(i: int) -> list[TrialResult]:
-        # the instance is freed on return: at most `workers` matrices are alive
+    cells: list[list[TrialResult]] = [[] for _ in lambdas]
+    for i in range(trials):
         inst = generate_instance(cfg, p, n, _trial_rng(seed, i))
-        results = []
-        for lam in lambdas:
+        for lam, cell in zip(lambdas, cells):
             res = solve_lasso(inst.A, inst.y, lam)
-            results.append(TrialResult(*empirical_metrics(res.x_hat, inst, xi),
-                                       res.iters, res.kkt_residual, res.converged))
-        return results
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(trial, range(trials)))
-    else:
-        per_trial = [trial(i) for i in range(trials)]
-    return tuple(_report([row[j] for row in per_trial], n, seed) for j in range(len(lambdas)))
+            cell.append(TrialResult(*empirical_metrics(res.x_hat, inst, xi),
+                                    res.iters, res.kkt_residual, res.converged))
+        # free this trial's matrix before the next one is drawn
+        del inst
+    return tuple(_report(cell, n, seed) for cell in cells)
 
 
 def run_trials(
@@ -567,11 +568,10 @@ def run_trials(
     trials: int,
     xi: float,
     seed: int,
-    workers: int = 1,
 ) -> EmpiricalReport:
     """Run independent trials at cfg.lam and aggregate means and standard errors.
 
     The one-lambda case of `run_grid`: the report equals, bit for bit, the
     cell of cfg.lam in any grid run with the same arguments.
     """
-    return run_grid(cfg, p, n, trials, xi, seed, (cfg.lam,), workers)[0]
+    return run_grid(cfg, p, n, trials, xi, seed, (cfg.lam,))[0]

@@ -29,7 +29,7 @@ from lasso_mismatch.predictor import (
     solve_scalar,
 )
 from lasso_mismatch.prior import prior_expect_e, sparse_bernoulli
-from lasso_mismatch.simulator import generate_instance, run_trials, solve_lasso
+from lasso_mismatch.simulator import generate_instance, run_grid, run_trials, solve_lasso
 from oracles import oracle_expect_e, oracle_expect_eta
 
 PRIOR = sparse_bernoulli(0.1)
@@ -276,12 +276,13 @@ def test_criterion_6_property_suite():
     if abs(mse50 - cfg50.kappa) > 1e-3:
         failures.append(f"large-lambda MSE {mse50:.6f} not within 1e-3 of kappa")
 
-    # bitwise reproducibility across worker counts
+    # bitwise reproducibility across grids
     cfg_t = ModelConfig(lam=1.201, **MSE_CURVE_CONFIG)
-    rep1 = run_trials(cfg_t, PRIOR, n=64, trials=8, xi=1e-3, seed=42, workers=1)
-    rep4 = run_trials(cfg_t, PRIOR, n=64, trials=8, xi=1e-3, seed=42, workers=4)
-    if rep1.trials != rep4.trials or rep1.mean_mse != rep4.mean_mse:
-        failures.append("run_trials output differs across worker counts")
+    alone = run_trials(cfg_t, PRIOR, n=64, trials=8, xi=1e-3, seed=42)
+    grid = run_grid(cfg_t, PRIOR, n=64, trials=8, xi=1e-3, seed=42,
+                    lambdas=(0.41, cfg_t.lam, 2.5))
+    if alone != grid[1]:
+        failures.append("run_trials output differs from its cell of a lambda grid")
 
     elapsed = time.monotonic() - start
     _report(

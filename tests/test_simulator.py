@@ -5,6 +5,7 @@ determinism."""
 
 import functools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -164,6 +165,25 @@ class TestSolveLasso:
         for lam in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="lam"):
                 solve_lasso(np.eye(4), np.ones(4), lam)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                solve_lasso(np.eye(4), np.ones(4), 1.0, tol=tol)
+
+    def test_scale_of_A_within_the_normal_range(self):
+        # the solution of the scaled problem (s A, s y, s^2 lam) is the same x
+        G = np.random.default_rng(0).normal(size=(3, 4))
+        x0 = np.array([1.0, 0.0, 0.0, 2.0])
+        x_ref = solve_lasso(G, G @ x0, 1e-3).x_hat
+        for s in (1e-150, 1e150):
+            A = s * G
+            res = solve_lasso(A, A @ x0, 1e-3 * s * s)
+            assert res.converged
+            np.testing.assert_allclose(res.x_hat, x_ref, rtol=0.0, atol=1e-8)
+        # below the normal range the gradient is subnormal and cannot certify x
+        for s in (1e-155, 1e-160):
+            A = s * G
+            with pytest.raises(ValueError, match=r"^\|\|A\|\|_F\^2 must be positive"):
+                solve_lasso(A, A @ x0, 1e-3 * s * s)
 
 
 class TestStepCertification:
@@ -542,17 +562,15 @@ class TestRunTrials:
         assert rep.se_phi_on == 0.0
         assert rep.se_phi_off == 0.0
 
-    def test_bitwise_determinism_across_runs_and_workers(self):
-        a = run_trials(CFG, PRIOR, n=64, trials=8, xi=1e-3, seed=17, workers=1)
-        b = run_trials(CFG, PRIOR, n=64, trials=8, xi=1e-3, seed=17, workers=1)
-        c = run_trials(CFG, PRIOR, n=64, trials=8, xi=1e-3, seed=17, workers=4)
-        for other in (b, c):
-            assert a.mean_mse == other.mean_mse
-            assert a.se_mse == other.se_mse
-            assert a.mean_phi_on == other.mean_phi_on
-            assert a.mean_phi_off == other.mean_phi_off
-            for ta, to in zip(a.trials, other.trials):
-                assert ta == to
+    def test_bitwise_determinism_across_runs(self):
+        a = run_trials(CFG, PRIOR, n=64, trials=8, xi=1e-3, seed=17)
+        b = run_trials(CFG, PRIOR, n=64, trials=8, xi=1e-3, seed=17)
+        assert a.mean_mse == b.mean_mse
+        assert a.se_mse == b.se_mse
+        assert a.mean_phi_on == b.mean_phi_on
+        assert a.mean_phi_off == b.mean_phi_off
+        for ta, tb in zip(a.trials, b.trials):
+            assert ta == tb
 
     def test_nonconverged_counted_not_dropped(self, monkeypatch):
         # starve the solver at a lambda small enough that zero is never optimal
@@ -604,10 +622,25 @@ class TestRunGrid:
         run_grid(CFG, PRIOR, n=64, trials=4, xi=1e-3, seed=2, lambdas=self.GRID)
         assert len(calls) == 4
 
+    def test_one_instance_alive_at_a_time(self, monkeypatch):
+        made = []
+        alive_before = []
+
+        def tracking(*args, **kwargs):
+            alive_before.append(sum(ref() is not None for ref in made))
+            inst = generate_instance(*args, **kwargs)
+            made.append(weakref.ref(inst))
+            return inst
+
+        monkeypatch.setattr(simulator, "generate_instance", tracking)
+        run_grid(CFG, PRIOR, n=64, trials=4, xi=1e-3, seed=2, lambdas=self.GRID)
+        assert alive_before == [0, 0, 0, 0]
+
     def test_bad_size_fails_before_any_instance(self, monkeypatch):
         calls = self._count_instances(monkeypatch)
-        with pytest.raises(ValueError, match="n must be at least 8"):
-            run_grid(CFG, PRIOR, n=4, trials=4, xi=1e-3, seed=2, lambdas=self.GRID)
+        for n, xi, match in ((4, 1e-3, "n must be at least 8"), (64, 0.0, "xi")):
+            with pytest.raises(ValueError, match=match):
+                run_grid(CFG, PRIOR, n=n, trials=4, xi=xi, seed=2, lambdas=self.GRID)
         assert calls == []
 
     def test_validation(self):
