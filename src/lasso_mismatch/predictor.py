@@ -20,12 +20,14 @@ serves both: it takes the Newton point when that lies inside the
 sign-change bracket and bisects otherwise.  Both slopes are closed forms from
 the same per-atom moments as the gradient: the inner one is -d2D/dbeta2, and
 the outer one is the total derivative H_tt - H_tb^2 / H_bb along beta(tau), H
-the Hessian of D, taken at the inner search's last evaluation.  Each inner
-search starts from the previous outer iterate's beta when that lies inside
-its analytic bracket, so near the saddle it takes one or two evaluations.  A
-solution is returned only when its scaled stationarity residual is within
-SADDLE_TOL of D.  The optimal lambda is found by golden section on a fixed
-interval.  Non-convergence raises instead of returning a best-effort result.
+the Hessian of D, taken at the inner search's last evaluation.  The outer
+search starts from tau0 = sqrt((sigma_z^2 + E[X^2])/delta), its root in the
+limit lambda -> inf, where the estimate is zero; each inner search starts
+from the previous outer iterate's beta when that lies inside its analytic
+bracket, so near the saddle it takes one or two evaluations.  A solution is
+returned only when its scaled stationarity residual is within SADDLE_TOL of
+D.  The optimal lambda is found by golden section on a fixed interval.
+Non-convergence raises instead of returning a best-effort result.
 """
 
 from __future__ import annotations
@@ -333,8 +335,12 @@ def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
     """Solve the scalar min-max problem for (tau*, beta*).
 
     tau* is the root of dD/dtau(tau, beta(tau)), beta(tau) the root of dD/dbeta
-    at tau, and beta* = beta(tau*).  The tau bracket starts at [lo, 2 lo], lo
-    half of sigma_z/sqrt(delta), below any achievable error scale.  Raises
+    at tau, and beta* = beta(tau*).  The tau search starts at
+    tau0 = sqrt((sigma_z^2 + E[X^2])/delta), which is tau* as lambda -> inf:
+    there the estimate is zero, so delta tau*^2 - sigma_z^2 = E[X^2].  Its
+    bracket is [lo, max(2 lo, 2 tau0)], lo half of sigma_z/sqrt(delta), below
+    any achievable error scale.  tau0 depends on the configuration only, so
+    each solve is independent of any other lambda.  Raises
     NonConvergenceError when a root search fails or the scaled residual
     exceeds SADDLE_TOL * D(tau*, beta*).
     """
@@ -348,7 +354,8 @@ def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
         return grad, slope
 
     lo = max(1e-6, 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta))
-    tau, outer_evals = bracketed_root(d_tau, lo, 2.0 * lo, "tau")
+    tau0 = math.sqrt((cfg.sigma_z2 + p.second_moment()) / cfg.delta)
+    tau, outer_evals = bracketed_root(d_tau, lo, max(2.0 * lo, 2.0 * tau0), "tau", start=tau0)
     g_tau, g_beta, _, _ = _derivatives(tau, beta, cfg, p)
     value = objective_D(tau, beta, cfg, p)
     residual = (abs(tau * g_tau), abs(beta * g_beta))

@@ -274,13 +274,32 @@ class TestSolveScalar:
         assert sol.residual == (abs(sol.tau_star * g_tau), abs(sol.beta_star * g_beta))
         assert max(sol.residual) <= SADDLE_TOL * sol.objective
 
-    def test_newton_evaluation_count(self):
-        # gradient evaluations per solve on the fig-1 grid, outer and inner
+    @pytest.mark.parametrize(
+        "cfg,bound",
+        [(FIG1_CFG, 10), (HEAVY_CFG, 15)],
+        ids=["fig1", "heavy"],
+    )
+    def test_newton_evaluation_count(self, cfg, bound):
+        # median gradient evaluations per solve on the grid, outer and inner
+        # (6.5 on fig-1 and 12.5 on heavy)
         counts = []
         for lam in GRID:
-            sol = solve_scalar(FIG1_CFG.with_lam(lam), REF_PRIOR)
+            sol = solve_scalar(cfg.with_lam(lam), REF_PRIOR)
             counts.append(sol.outer_iters + sol.inner_iters_total)
-        assert np.median(counts) <= 40, counts
+        assert np.median(counts) <= bound, counts
+
+    @pytest.mark.parametrize(
+        "cfg,p",
+        [(FIG1_CFG, REF_PRIOR), (HEAVY_CFG, REF_PRIOR), (ATOMS_CFG, ATOMS_PRIOR)],
+        ids=["fig1", "heavy", "three_atoms"],
+    )
+    def test_large_lambda_tau_is_its_start(self, cfg, p):
+        # as lambda -> inf the estimate is zero, so delta tau*^2 = sigma_z^2 + E[X^2]:
+        # the tau search's start is the root, found by its one evaluation
+        sol = solve_scalar(cfg.with_lam(1e4), p)
+        tau0 = math.sqrt((cfg.sigma_z2 + p.second_moment()) / cfg.delta)
+        assert sol.outer_iters == 1
+        assert abs(sol.tau_star - tau0) <= 1e-12 * tau0
 
     def test_residual_out_of_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(predictor, "SADDLE_TOL", 1e-30)
@@ -304,13 +323,15 @@ class TestSolveScalar:
             assert abs(sol.beta_star - identity) <= 1e-9 * sol.beta_star, lam
 
     def test_certified_across_parameter_ranges(self):
-        # delta in [0.1, 5], eps^2 up to 0.99, sigma_z^2 in [1e-4, 10], lambda in
-        # [1e-4, 1e3], sparse Bernoulli and multi-atom priors: every solve is
-        # certified, including small lambda at delta > 1, where the beta root
-        # sits on its analytic lower bound within rounding.  At lambda = 1e4
-        # the estimate is zero: the MSE is E[X^2] and no entry is detected.
+        # delta in [0.05, 10], eps^2 up to 0.999, sigma_z^2 in [1e-6, 100] and
+        # lambda in [1e-6, 1e5] (all log-uniform but eps^2), sparse Bernoulli and
+        # multi-atom priors: every solve is certified, within the evaluation
+        # counts the lambda -> inf start gives (median 18, max 153 per solve).
+        # At lambda = 1e4 the estimate is zero: the MSE is E[X^2] and no entry
+        # is detected.
         rng = random.Random(3)
-        for _ in range(150):
+        counts = []
+        for _ in range(2000):
             if rng.random() < 0.5:
                 p = sparse_bernoulli(rng.uniform(0.01, 0.9))
             else:
@@ -319,25 +340,32 @@ class TestSolveScalar:
                 probs = [w / sum(weights) for w in weights[:-1]]
                 p = Prior(atoms=tuple(zip(values, probs + [1.0 - sum(probs)])))
             cfg = ModelConfig(
-                delta=math.exp(rng.uniform(math.log(0.1), math.log(5.0))),
+                delta=math.exp(rng.uniform(math.log(0.05), math.log(10.0))),
                 kappa=1.0 - p.zero_mass(),
-                eps2=rng.uniform(0.0, 0.99),
-                sigma_z2=math.exp(rng.uniform(math.log(1e-4), math.log(10.0))),
-                lam=math.exp(rng.uniform(math.log(1e-4), math.log(1e3))),
+                eps2=rng.uniform(0.0, 0.999),
+                sigma_z2=math.exp(rng.uniform(math.log(1e-6), math.log(100.0))),
+                lam=math.exp(rng.uniform(math.log(1e-6), math.log(1e5))),
             )
             sol = solve_scalar(cfg, p)
             assert max(sol.residual) <= SADDLE_TOL * sol.objective, cfg
+            counts.append(sol.outer_iters + sol.inner_iters_total)
             large = cfg.with_lam(1e4)
             sol = solve_scalar(large, p)
             ex2 = p.second_moment()
             assert abs(predict_mse(sol, large, p) - ex2) <= 1e-8 * ex2, large
             assert predict_support(sol, large, p, 1e-3)[0] <= 1e-12, large
-        # a draw whose tau search meets tau = 0.00386, where the beta root
-        # lies on its lower bound 166.22 within rounding
+        assert np.median(counts) <= 18 and max(counts) <= 153, (np.median(counts), max(counts))
+        # small lambda at delta > 1: at tau = 0.00386 the beta root lies on its
+        # analytic lower bound 166.22 within rounding
         cfg = ModelConfig(delta=3.692916709345302, kappa=0.6612400753578219,
                           eps2=0.9687183932620014, sigma_z2=0.00021954784761925747,
                           lam=0.00010524391941916067)
-        solve_scalar(cfg, sparse_bernoulli(cfg.kappa))
+        p = sparse_bernoulli(cfg.kappa)
+        tau = 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta)
+        bound = tau * (cfg.delta - 1.0) + (cfg.sigma_z2 + cfg.eps2 * p.second_moment()) / tau
+        beta, _, _ = maximize_over_beta(tau, cfg, p)
+        assert abs(beta - bound) <= 1e-12 * bound
+        solve_scalar(cfg, p)
 
     @pytest.mark.parametrize(
         "cfg,p",
@@ -439,7 +467,9 @@ class TestPredictions:
             return last["d_tau"], last["slope"]
 
         lo = max(1e-6, 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta))
-        tau_ref, _ = bracketed_root(reduced_beta_root, lo, 2.0 * lo, "tau")
+        tau0 = math.sqrt((cfg.sigma_z2 + p.second_moment()) / cfg.delta)
+        tau_ref, _ = bracketed_root(reduced_beta_root, lo, max(2.0 * lo, 2.0 * tau0), "tau",
+                                    start=tau0)
         beta_ref = last["beta"]
 
         sol = solve_scalar(cfg, p)
