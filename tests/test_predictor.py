@@ -274,19 +274,15 @@ class TestSolveScalar:
         assert sol.residual == (abs(sol.tau_star * g_tau), abs(sol.beta_star * g_beta))
         assert max(sol.residual) <= SADDLE_TOL * sol.objective
 
-    @pytest.mark.parametrize(
-        "cfg,bound",
-        [(FIG1_CFG, 10), (HEAVY_CFG, 15)],
-        ids=["fig1", "heavy"],
-    )
-    def test_newton_evaluation_count(self, cfg, bound):
+    def test_newton_evaluation_count(self):
         # median gradient evaluations per solve on the grid, outer and inner
         # (6.5 on fig-1 and 12.5 on heavy)
-        counts = []
-        for lam in GRID:
-            sol = solve_scalar(cfg.with_lam(lam), REF_PRIOR)
-            counts.append(sol.outer_iters + sol.inner_iters_total)
-        assert np.median(counts) <= bound, counts
+        for cfg, bound in [(FIG1_CFG, 10), (HEAVY_CFG, 15)]:
+            counts = []
+            for lam in GRID:
+                sol = solve_scalar(cfg.with_lam(lam), REF_PRIOR)
+                counts.append(sol.outer_iters + sol.inner_iters_total)
+            assert np.median(counts) <= bound, (cfg, counts)
 
     @pytest.mark.parametrize(
         "cfg,p",
