@@ -26,7 +26,8 @@ limit lambda -> inf, where the estimate is zero; each inner search starts
 from the previous outer iterate's beta when that lies inside its analytic
 bracket, so near the saddle it takes one or two evaluations.  A solution is
 returned only when its scaled stationarity residual is within SADDLE_TOL of
-D.  The optimal lambda is found by golden section on a fixed interval.
+D.  The optimal lambda is found by Brent's minimiser on a fixed interval,
+and only when it lies inside that interval.
 Non-convergence raises instead of returning a best-effort result.
 """
 
@@ -43,7 +44,7 @@ __all__ = [
     "ScalarSolution",
     "PredictionReport",
     "NonConvergenceError",
-    "golden_section_min",
+    "brent_min",
     "bracketed_root",
     "objective_D",
     "maximize_over_beta",
@@ -54,7 +55,10 @@ __all__ = [
     "optimal_lambda",
 ]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Brent's golden-section fraction (3 - sqrt 5)/2 and the square root of the
+# float spacing at 1, his floor on a step relative to |x|
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.0 ** -52)
 
 ROOT_REL_TOL = 1e-12
 ROOT_MAX_EVALS = 100
@@ -182,31 +186,75 @@ def objective_D(tau: float, beta: float, cfg: ModelConfig, p: Prior) -> float:
     )
 
 
-def golden_section_min(f, lo: float, hi: float, rel_tol: float, max_iters: int):
-    """Golden-section minimization of a unimodal f on [lo, hi].
+def brent_min(f, lo: float, hi: float, tol: float, name: str) -> tuple[float, float, int]:
+    """Minimum of f strictly inside (lo, hi) by Brent's method.
 
-    The bracket shrinks until its width is at most rel_tol * max(1, |midpoint|).
-    Returns (argmin, value, iterations, converged).
+    Brent (1973), Algorithms for Minimization without Derivatives, ch. 5:
+    each step takes the minimum of the parabola through the three best points
+    when that lies inside the bracket and moves less than half the step before
+    last, and a golden-section step into the larger side of the bracket
+    otherwise; no step is shorter than t = sqrt(eps) |x| + tol/3.  It stops
+    when the best point x lies within 2t - (b - a)/2 of the bracket's
+    midpoint, so within 2t of a local minimum; f is never evaluated at lo
+    or hi.  Returns (x, f(x), evaluations).  Raises NonConvergenceError, naming
+    the search by `name`, when OUTER_MAX_ITERS steps do not reach that
+    test, and when x ends within 2t of lo or hi, where a minimum at or beyond
+    that end cannot be told from one inside.
     """
     a, b = float(lo), float(hi)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    iters = 0
-    while (b - a) > rel_tol * max(1.0, abs(0.5 * (a + b))) and iters < max_iters:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    evals = 1
+    step = last = 0.0  # the last two steps' lengths
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            break
+        if evals > OUTER_MAX_ITERS:
+            raise NonConvergenceError(
+                f"{name} search did not converge within {OUTER_MAX_ITERS} iterations")
+        p = q = 0.0
+        if abs(last) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+        if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+            last, step = step, p / q
+            if x + step - a < tol2 or b - (x + step) < tol2:
+                step = tol1 if x <= mid else -tol1
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-        iters += 1
-    x = 0.5 * (a + b)
-    converged = (b - a) <= rel_tol * max(1.0, abs(x))
-    return x, f(x), iters, converged
+            last = (b if x < mid else a) - x
+            step = _GOLDEN * last
+        u = x + (step if abs(step) >= tol1 else math.copysign(tol1, step))
+        fu = f(u)
+        evals += 1
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    for end in (lo, hi):
+        if abs(x - end) <= tol2:
+            raise NonConvergenceError(
+                f"{name} minimum not certified inside ({lo:g}, {hi:g}): the search ended "
+                f"at {x:.9g}, within {tol2:.2g} of the interval end {end:g}")
+    return x, fx, evals
 
 
 def bracketed_root(f, lo: float, hi: float, name: str, *, start: float = math.nan,
@@ -218,20 +266,19 @@ def bracketed_root(f, lo: float, hi: float, name: str, *, start: float = math.na
     of the sign change.  The next point is the Newton point of the last one
     when that lies strictly inside the bracket.  Otherwise it is the end on the
     root's side if f is not yet known there: lo, where f must be negative, or
-    hi, which doubles while f(hi) < 0, up to BRACKET_CAP.  With both ends
-    known it is the midpoint.  Stops when f vanishes, when the Newton step is
-    at most ROOT_REL_TOL times the point, or when the bracket is at most
-    ROOT_REL_TOL * lo wide; returns (last point, number of f evaluations).
-    Otherwise raises NonConvergenceError, whose `name` attribute ("tau" or
-    "beta") carries the last point and `context` the rest.
+    hi, which doubles while f(hi) < 0, up to BRACKET_CAP times its starting
+    value.  With both ends known it is the midpoint.  Stops when f vanishes,
+    when the Newton step is at most ROOT_REL_TOL times the point, or when the
+    bracket is at most ROOT_REL_TOL * lo wide; returns (last point, number of
+    f evaluations).  Otherwise raises NonConvergenceError, whose `name`
+    attribute ("tau" or "beta") carries the last point and `context` the rest.
     """
 
     def failure(message: str, last: float) -> NonConvergenceError:
         where = "".join(f" at {k}={v:g}" for k, v in context.items())
         return NonConvergenceError(message + where, **{name: last}, **context)
 
-    if hi > BRACKET_CAP:
-        raise failure(f"{name} bracket exceeded cap {BRACKET_CAP:g}", hi)
+    cap = BRACKET_CAP * hi
     x = start if lo < start < hi else lo
     lo_known = hi_known = False
     evals = 0
@@ -241,8 +288,8 @@ def bracketed_root(f, lo: float, hi: float, name: str, *, start: float = math.na
         if fx < 0.0:
             if x == hi:
                 hi = 2.0 * hi
-                if hi > BRACKET_CAP:
-                    raise failure(f"{name} bracket exceeded cap {BRACKET_CAP:g}", hi)
+                if hi > cap:
+                    raise failure(f"{name} bracket exceeded cap {cap:g}", hi)
             lo, lo_known = x, True
         elif x == lo:  # evaluated only while f(lo) is unknown
             raise failure(f"{name} root is not above {lo:g}", lo)
@@ -353,7 +400,7 @@ def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
         inner_total += evals
         return grad, slope
 
-    lo = max(1e-6, 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta))
+    lo = 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta)
     tau0 = math.sqrt((cfg.sigma_z2 + p.second_moment()) / cfg.delta)
     tau, outer_evals = bracketed_root(d_tau, lo, max(2.0 * lo, 2.0 * tau0), "tau", start=tau0)
     g_tau, g_beta, _, _ = _derivatives(tau, beta, cfg, p)
@@ -417,10 +464,12 @@ def optimal_lambda(
 ) -> tuple[float, float]:
     """Minimize the predicted MSE over the regularization weight.
 
-    cfg.lam is ignored; the search runs golden_section_min on search_interval
-    down to bracket width 1e-4 * max(1, lambda), which is an absolute 1e-4
-    for lambda_opt <= 1, and returns (lambda_opt, mse_opt).  It raises
-    NonConvergenceError when that takes more than OUTER_MAX_ITERS steps.
+    cfg.lam is ignored.  brent_min searches search_interval to an absolute
+    tolerance of 1e-6, so lambda_opt lies within about 7e-7 of a local
+    minimiser of the predicted MSE, and (lambda_opt, mse_opt) is returned only
+    when it lies inside the interval.  Raises NonConvergenceError when the
+    search ends within its tolerance of either end, naming that end, or when
+    it takes more than OUTER_MAX_ITERS steps.
     """
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not (0.0 < lo < hi):
@@ -430,8 +479,5 @@ def optimal_lambda(
         c = cfg.with_lam(lam)
         return predict_mse(solve_scalar(c, p), c, p)
 
-    lam_opt, mse_opt, _, ok = golden_section_min(f, lo, hi, 1e-4, OUTER_MAX_ITERS)
-    if not ok:
-        raise NonConvergenceError(
-            f"lambda search did not converge within {OUTER_MAX_ITERS} iterations")
+    lam_opt, mse_opt, _ = brent_min(f, lo, hi, 1e-6, "lambda")
     return lam_opt, mse_opt

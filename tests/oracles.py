@@ -5,7 +5,8 @@ standard normal density by adaptive Simpson on [-12, 12]; the truncated tail
 mass is far below the tolerances in play.  The nested golden-section saddle
 search minimizes over tau the maximum over beta of a given objective, by
 derivative-free bracket searches, as a reference for the gradient-root
-saddle solver.  The coordinate-descent solver is a reference implementation
+saddle solver, and bisection on a central difference locates a 1-D
+minimiser as a reference for Brent's minimiser.  The coordinate-descent solver is a reference implementation
 for checking the production LASSO solver, and the two-matrix sampler draws
 instances from the model's defining equations as a reference for the
 simulator's conditional draw; none shares code with the package paths they
@@ -146,6 +147,26 @@ def golden_saddle(D, tau_lo: float) -> tuple[float, float]:
 
     tau, _ = _expanding_golden_min(lambda t: beta_max(t)[1], tau_lo, 10.0, 1e-9)
     return tau, beta_max(tau)[0]
+
+
+def derivative_root(f, lo: float, hi: float, h: float = 1e-4, tol: float = 1e-9) -> float:
+    """Root of the central difference f(x + h) - f(x - h) on [lo, hi], by bisection.
+
+    The difference must be negative at lo and positive at hi, so the root is
+    a minimiser of a smooth f, to O(h^2); stops at bracket width tol.
+    """
+    def slope(x: float) -> float:
+        return f(x + h) - f(x - h)
+
+    if not slope(lo) < 0.0 < slope(hi):
+        raise RuntimeError("the central difference does not change sign on [lo, hi]")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def cd_lasso(A: np.ndarray, y: np.ndarray, lam: float,

@@ -26,7 +26,7 @@ from lasso_mismatch.predictor import (
     solve_scalar,
 )
 from lasso_mismatch.prior import Prior, _prior_moments, prior_expect_e, sparse_bernoulli
-from oracles import golden_saddle, oracle_expect_e
+from oracles import derivative_root, golden_saddle, oracle_expect_e
 
 # frozen independent evaluation of the objective at tau=1, beta=1
 # (delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=1; quadrature expectations)
@@ -35,9 +35,10 @@ D_REFERENCE_POINT = 0.2914360311752436
 REF_CFG = ModelConfig(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=1.201)
 REF_PRIOR = sparse_bernoulli(0.1)
 
-# the fig-1 and heavy (delta = 2, eps^2 = 0.5) grids, and a 3-atom prior
+# the fig-1, fig-2 and heavy (delta = 2, eps^2 = 0.5) grids, and a 3-atom prior
 # with a negative atom
 FIG1_CFG = ModelConfig.from_snr(delta=0.8, kappa=0.1, eps2=0.1, snr=0.5, lam=1.0)
+FIG2_CFG = ModelConfig.from_snr(delta=0.8, kappa=0.1, eps2=0.2, snr=0.5, lam=1.0)
 HEAVY_CFG = ModelConfig.from_snr(delta=2.0, kappa=0.1, eps2=0.5, snr=0.5, lam=1.0)
 GRID = tuple(round(0.001 + 0.1 * i, 3) for i in range(60))
 ATOMS_CFG = ModelConfig(delta=0.9, kappa=0.2, eps2=0.1, sigma_z2=0.15, lam=0.4)
@@ -140,10 +141,15 @@ class TestMaximizeOverBeta:
         spacing = grid[1] - grid[0]
         assert abs(b_grid - beta) <= spacing
 
-    def test_cap_exhaustion_raises(self):
-        # a vanishing tau sends the maximizer beyond any bracket the cap allows
-        with pytest.raises(NonConvergenceError):
-            maximize_over_beta(1e-9, REF_CFG, REF_PRIOR)
+    @pytest.mark.parametrize("tau", [1e-9, 1e-100])
+    def test_vanishing_tau_certified(self, tau):
+        # the analytic bracket holds the maximizer at any tau, so a vanishing
+        # tau (beta = 2.1e8 at tau = 1e-9) needs no bracket expansion
+        beta, value, _ = maximize_over_beta(tau, REF_CFG, REF_PRIOR)
+        _, g_beta, _, _ = predictor._derivatives(tau, beta, REF_CFG, REF_PRIOR)
+        assert abs(beta * g_beta) <= SADDLE_TOL * value
+        for probe in (beta * (1 - 1e-4), beta * (1 + 1e-4)):
+            assert value >= objective_D(tau, probe, REF_CFG, REF_PRIOR)
 
 
 def _cube(x):
@@ -297,6 +303,18 @@ class TestSolveScalar:
         assert sol.outer_iters == 1
         assert abs(sol.tau_star - tau0) <= 1e-12 * tau0
 
+    def test_large_delta_certified(self):
+        # tau* falls as delta^-1/2 (1e-9 at delta = 1e16) and beta* grows as
+        # delta^1/2: the tau bracket has no absolute floor and the beta search
+        # no absolute cap, so every solve is certified, and the MSE holds its
+        # delta -> inf limit
+        mses = []
+        for delta in (1e10, 1e11, 1e12, 1e14, 1e16):
+            cfg = ModelConfig(delta=delta, kappa=0.1, eps2=0.1, sigma_z2=1e-6, lam=1.0)
+            sol = solve_scalar(cfg, REF_PRIOR)
+            mses.append(predict_mse(sol, cfg, REF_PRIOR))
+        assert max(mses) - min(mses) <= 1e-8 * mses[0], mses
+
     def test_residual_out_of_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(predictor, "SADDLE_TOL", 1e-30)
         with pytest.raises(NonConvergenceError, match="saddle residual"):
@@ -374,7 +392,7 @@ class TestSolveScalar:
         ids=["fig1-0.101", "fig1-1.201", "heavy-0.401", "three_atoms"],
     )
     def test_matches_golden_section_oracle(self, cfg, p):
-        tau_lo = max(1e-6, 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta))
+        tau_lo = 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta)
         tau, beta = golden_saddle(lambda t, b: objective_D(t, b, cfg, p), tau_lo)
         sol = solve_scalar(cfg, p)
         assert abs(sol.tau_star - tau) <= 1e-6 * tau
@@ -462,7 +480,7 @@ class TestPredictions:
             last["beta"], _ = bracketed_root(f, lo, hi, "beta", start=last["beta"])
             return last["d_tau"], last["slope"]
 
-        lo = max(1e-6, 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta))
+        lo = 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta)
         tau0 = math.sqrt((cfg.sigma_z2 + p.second_moment()) / cfg.delta)
         tau_ref, _ = bracketed_root(reduced_beta_root, lo, max(2.0 * lo, 2.0 * tau0), "tau",
                                     start=tau0)
@@ -541,6 +559,40 @@ class TestOptimalLambda:
             vals.append(predict_mse(solve_scalar(cfg, REF_PRIOR), cfg, REF_PRIOR))
         lam_grid = float(grid[int(np.argmin(vals))])
         assert abs(lam_grid - lam_opt) <= 2e-3
+
+    @pytest.mark.parametrize("cfg", [FIG1_CFG, FIG2_CFG], ids=["fig1", "fig2"])
+    def test_matches_derivative_root_oracle(self, cfg):
+        def mse(lam):
+            c = cfg.with_lam(lam)
+            return predict_mse(solve_scalar(c, REF_PRIOR), c, REF_PRIOR)
+
+        lam_opt, _ = optimal_lambda(cfg, REF_PRIOR, (0.5, 3.0))
+        assert abs(lam_opt - derivative_root(mse, 0.5, 3.0)) <= 1e-6
+
+    @pytest.mark.parametrize("cfg", [FIG1_CFG, FIG2_CFG], ids=["fig1", "fig2"])
+    def test_solve_count(self, cfg, monkeypatch):
+        # Brent's minimiser takes 14 solves on fig-1 and 13 on fig-2
+        solves = []
+        real = predictor.solve_scalar
+
+        def spy(c, p):
+            solves.append(c.lam)
+            return real(c, p)
+
+        monkeypatch.setattr(predictor, "solve_scalar", spy)
+        optimal_lambda(cfg, REF_PRIOR, (0.5, 3.0))
+        assert len(solves) <= 15, solves
+
+    @pytest.mark.parametrize("interval, end", [
+        ((1.0, 3.0), "1"),
+        ((0.05, 0.3), "0.3"),
+        # the MSE is not unimodal here; the search ends at the upper end
+        ((0.001, 100.0), "100"),
+    ], ids=["below", "above", "not-unimodal"])
+    def test_minimum_at_an_interval_end_raises(self, interval, end):
+        # fig-1's minimiser 0.611 lies outside the first two intervals
+        with pytest.raises(NonConvergenceError, match=rf"interval end {end}$"):
+            optimal_lambda(REF_CFG, REF_PRIOR, interval)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
