@@ -205,7 +205,7 @@ def brent_min(f, lo: float, hi: float, tol: float, name: str) -> tuple[float, fl
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = f(x)
     evals = 1
-    step = last = 0.0  # the last two steps' lengths
+    step = last = 0.0  # the latest step and the one before it (Brent's d and e)
     while True:
         mid = 0.5 * (a + b)
         tol1 = _SQRT_EPS * abs(x) + tol / 3.0

@@ -6,11 +6,11 @@ mass is far below the tolerances in play.  The nested golden-section saddle
 search minimizes over tau the maximum over beta of a given objective, by
 derivative-free bracket searches, as a reference for the gradient-root
 saddle solver, and bisection on a central difference locates a 1-D
-minimiser as a reference for Brent's minimiser.  The coordinate-descent solver is a reference implementation
-for checking the production LASSO solver, and the two-matrix sampler draws
-instances from the model's defining equations as a reference for the
-simulator's conditional draw; none shares code with the package paths they
-validate.
+minimiser as a reference for Brent's minimiser.  The coordinate-descent
+solver is a reference implementation for checking the production LASSO
+solver, and the two-matrix sampler draws instances from the model's
+defining equations as a reference for the simulator's conditional draw;
+none shares code with the package paths they validate.
 """
 
 from __future__ import annotations
