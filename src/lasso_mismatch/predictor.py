@@ -389,7 +389,9 @@ def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
     any achievable error scale.  tau0 depends on the configuration only, so
     each solve is independent of any other lambda.  Raises
     NonConvergenceError when a root search fails or the scaled residual
-    exceeds SADDLE_TOL * D(tau*, beta*).
+    exceeds SADDLE_TOL * D(tau*, beta*); that message names delta, and says
+    so when the tau slope (about delta^2) or tau dD/dtau overflowed, as it
+    does from delta of about 1e154 up.
     """
     inner_total = 0
     beta = math.nan
@@ -403,12 +405,16 @@ def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
     lo = 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta)
     tau0 = math.sqrt((cfg.sigma_z2 + p.second_moment()) / cfg.delta)
     tau, outer_evals = bracketed_root(d_tau, lo, max(2.0 * lo, 2.0 * tau0), "tau", start=tau0)
-    g_tau, g_beta, _, _ = _derivatives(tau, beta, cfg, p)
+    g_tau, g_beta, _, slope = _derivatives(tau, beta, cfg, p)
     value = objective_D(tau, beta, cfg, p)
     residual = (abs(tau * g_tau), abs(beta * g_beta))
     if not max(residual) <= SADDLE_TOL * value:
-        raise NonConvergenceError(f"saddle residual {max(residual):.3g} exceeds "
-                                  f"{SADDLE_TOL:g} * D = {value:.6g}", tau=tau, beta=beta)
+        overflow = not (math.isfinite(slope) and math.isfinite(max(residual)))
+        raise NonConvergenceError(
+            f"saddle residual {max(residual):.3g} exceeds {SADDLE_TOL:g} * D = {value:.6g} "
+            f"at delta={cfg.delta:g}"
+            + ("; the tau slope (about delta^2) or tau dD/dtau (about tau*beta*delta) "
+               "overflowed" if overflow else ""), tau=tau, beta=beta)
     return ScalarSolution(tau_star=tau, beta_star=beta, objective=value,
                           outer_iters=outer_evals, inner_iters_total=inner_total, residual=residual)
 

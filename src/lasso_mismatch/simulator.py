@@ -19,13 +19,18 @@ goes on only when both fail.
 The Monte Carlo loop runs over trials first, then over lambda: instances do
 not depend on lambda, so each trial draws its instance once, from a
 deterministically derived per-trial random substream, and solves the whole
-lambda grid on it with independent (not warm-started) solves.  Results are
-reproducible bit for bit regardless of the grid that contains a lambda.
+lambda grid on it with independent (not warm-started) solves.  While one
+trial is solved, a helper thread draws the next trial's instance into the
+other of two matrix buffers the run reuses, so at most two instances are
+alive at a time.  Results are reproducible bit for bit regardless of the
+grid that contains a lambda, and equal those of drawing and solving the
+trials one after another.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +142,8 @@ def _check_run(cfg: ModelConfig, n: int, trials: int, seed: int) -> None:
 
 
 def generate_instance(
-    cfg: ModelConfig, p: Prior, n: int, rng: np.random.Generator
+    cfg: ModelConfig, p: Prior, n: int, rng: np.random.Generator,
+    *, out: np.ndarray | None = None,
 ) -> Instance:
     """Draw one problem instance of size n under the additive-uncertainty model.
 
@@ -145,13 +151,26 @@ def generate_instance(
     values are drawn from the prior conditioned on being nonzero.  A has iid
     N(0, 1/n) entries; y is drawn from its law given A, H = gamma A + eps G with
     G independent of A, as y = gamma A x0 + s xi, s^2 = sigma_z2 + eps^2 |x0|^2/n.
+    A is written into `out` when given, which must be a C-contiguous float64
+    array of shape (m, n) (ValueError otherwise, before anything is drawn),
+    and into a new array otherwise; the draws are the same either way.
     """
     m, k = _instance_size(cfg, n)
+    if out is None:
+        A = np.empty((m, n))
+    elif out.shape != (m, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {(m, n)}, got "
+                         f"shape {out.shape}, dtype {out.dtype}, "
+                         f"C-contiguous {out.flags.c_contiguous}")
+    else:
+        A = out
     support = np.sort(rng.choice(n, size=k, replace=False))
     x0 = np.zeros(n)
     x0[support] = sample_on_support(p, rng, k)
 
-    A = rng.normal(0.0, 1.0 / math.sqrt(n), size=(m, n))
+    # the same draws and products as rng.normal(0.0, 1.0 / sqrt(n), (m, n))
+    rng.standard_normal(out=A)
+    A *= 1.0 / math.sqrt(n)
     s = math.sqrt(cfg.sigma_z2 + cfg.eps2 * float(x0 @ x0) / n)
     y = cfg.gamma * (A @ x0) + rng.normal(0.0, s, size=m)
     return Instance(x0=x0, A=A, y=y, support=support)
@@ -524,6 +543,29 @@ def _report(results: list[TrialResult], n: int, seed: int) -> EmpiricalReport:
     )
 
 
+class _Draw(threading.Thread):
+    """Runs draw(index) on its own thread; `result()` joins it, then returns or raises."""
+
+    def __init__(self, draw, index: int) -> None:
+        super().__init__(name=f"lasso-mismatch-draw-{index}")
+        self._draw, self._index = draw, index
+        self._value: Instance | None = None
+        self._error: BaseException | None = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._value = self._draw(self._index)
+        except BaseException as exc:
+            self._error = exc
+
+    def result(self) -> Instance:
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 def run_grid(
     cfg: ModelConfig,
     p: Prior,
@@ -539,7 +581,12 @@ def run_grid(
     draws its instance once, from a random substream derived from (seed,
     trial index), and solves every lambda on it.  Each solve is independent
     of the others, so a report is identical for any grid that contains its
-    lambda.  Trials run in order, one instance alive at a time.
+    lambda.  Trials are solved in order on the calling thread; while trial i
+    is solved, one helper thread draws trial i + 1 into the other of two
+    m x n buffers allocated once per run, so at most two instances are alive
+    at a time.  The reports equal, bit for bit, those of drawing and solving
+    the trials one after another.  The helper is joined before run_grid
+    returns or raises, and an exception raised by a draw is raised here.
     Non-converged solver runs are recorded, not dropped.
     """
     _check_run(cfg, n, trials, seed)
@@ -548,16 +595,27 @@ def run_grid(
     if not lambdas or not all(0.0 < lam < math.inf for lam in lambdas):
         raise ValueError(
             f"lambdas must be a nonempty list of positive finite values, got {lambdas}")
+    m, _ = _instance_size(cfg, n)
+    buffers = (np.empty((m, n)), np.empty((m, n)))
+
+    def draw(i: int) -> Instance:
+        return generate_instance(cfg, p, n, _trial_rng(seed, i), out=buffers[i % 2])
 
     cells: list[list[TrialResult]] = [[] for _ in lambdas]
+    inst = draw(0)
     for i in range(trials):
-        inst = generate_instance(cfg, p, n, _trial_rng(seed, i))
-        for lam, cell in zip(lambdas, cells):
-            res = solve_lasso(inst.A, inst.y, lam)
-            cell.append(TrialResult(*empirical_metrics(res.x_hat, inst, xi),
-                                    res.iters, res.kkt_residual, res.converged))
-        # free this trial's matrix before the next one is drawn
-        del inst
+        # trial i - 1 is no longer referenced, so its buffer is free
+        ahead = _Draw(draw, i + 1) if i + 1 < trials else None
+        try:
+            for lam, cell in zip(lambdas, cells):
+                res = solve_lasso(inst.A, inst.y, lam)
+                cell.append(TrialResult(*empirical_metrics(res.x_hat, inst, xi),
+                                        res.iters, res.kkt_residual, res.converged))
+        finally:
+            if ahead is not None:
+                ahead.join()
+        if ahead is not None:
+            inst = ahead.result()
     return tuple(_report(cell, n, seed) for cell in cells)
 
 

@@ -315,6 +315,17 @@ class TestSolveScalar:
             mses.append(predict_mse(sol, cfg, REF_PRIOR))
         assert max(mses) - min(mses) <= 1e-8 * mses[0], mses
 
+    def test_overflowing_delta_names_delta(self, monkeypatch):
+        # at delta = 1e200 the tau slope, about delta^2, is inf, so the search
+        # stops at its start and the certificate fails; the message says why
+        cfg = ModelConfig(delta=1e200, kappa=0.1, eps2=0.1, sigma_z2=1e-6, lam=1.0)
+        with pytest.raises(NonConvergenceError, match=r"at delta=1e\+200; .*overflowed"):
+            solve_scalar(cfg, REF_PRIOR)
+        # a residual miss with every term finite names delta and no overflow
+        monkeypatch.setattr(predictor, "SADDLE_TOL", 1e-30)
+        with pytest.raises(NonConvergenceError, match=r"at delta=0\.8$"):
+            solve_scalar(REF_CFG, REF_PRIOR)
+
     def test_residual_out_of_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(predictor, "SADDLE_TOL", 1e-30)
         with pytest.raises(NonConvergenceError, match="saddle residual"):

@@ -5,6 +5,8 @@ determinism."""
 
 import functools
 import math
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from lasso_mismatch import cli, simulator
 from lasso_mismatch.predictor import ModelConfig, predict_mse, solve_scalar
-from lasso_mismatch.prior import sparse_bernoulli
+from lasso_mismatch.prior import sample_on_support, sparse_bernoulli
 from lasso_mismatch.simulator import (
     Instance,
     empirical_metrics,
@@ -65,6 +67,42 @@ class TestGenerateInstance:
         assert np.array_equal(a.A, b.A)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.support, b.support)
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_out_matches_normal_recipe(self, n, seed):
+        # A filled in place equals, bit for bit, the rng.normal draw it
+        # replaced, and so do the draws after it
+        rng = np.random.default_rng(seed)
+        m, k = round_count(CFG.delta * n), round_count(CFG.kappa * n)
+        support = np.sort(rng.choice(n, size=k, replace=False))
+        x0 = np.zeros(n)
+        x0[support] = sample_on_support(PRIOR, rng, k)
+        A = rng.normal(0.0, 1.0 / math.sqrt(n), size=(m, n))
+        s = math.sqrt(CFG.sigma_z2 + CFG.eps2 * float(x0 @ x0) / n)
+        y = CFG.gamma * (A @ x0) + rng.normal(0.0, s, size=m)
+        buf = np.full((m, n), np.nan)
+        into = generate_instance(CFG, PRIOR, n, np.random.default_rng(seed), out=buf)
+        fresh = generate_instance(CFG, PRIOR, n, np.random.default_rng(seed))
+        assert into.A is buf
+        for inst in (into, fresh):
+            assert inst.A.tobytes() == A.tobytes()
+            assert inst.y.tobytes() == y.tobytes()
+            assert inst.x0.tobytes() == x0.tobytes()
+            assert np.array_equal(inst.support, support)
+
+    def test_out_validation(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        m, n = 51, 64
+        for bad in (np.empty((m, n + 1)), np.empty((m, n), dtype=np.float32),
+                    np.empty((n, m)).T, np.empty((m, 2 * n))[:, ::2]):
+            with pytest.raises(ValueError, match="out must be"):
+                generate_instance(CFG, PRIOR, n, rng, out=bad)
+        # the checks come before any draw
+        assert rng.bit_generator.state == state
+        inst = generate_instance(CFG, PRIOR, n, rng, out=np.empty((m, n), order="C"))
+        assert inst.A.shape == (m, n)
 
     def test_degenerate_support_errors(self):
         rng = np.random.default_rng(0)
@@ -622,19 +660,89 @@ class TestRunGrid:
         run_grid(CFG, PRIOR, n=64, trials=4, xi=1e-3, seed=2, lambdas=self.GRID)
         assert len(calls) == 4
 
-    def test_one_instance_alive_at_a_time(self, monkeypatch):
+    def test_at_most_two_instances_alive(self, monkeypatch):
+        # the next trial is drawn while the current one is solved, into the
+        # buffer of the trial before, which is no longer referenced
         made = []
         alive_before = []
+        buffers = set()
 
         def tracking(*args, **kwargs):
             alive_before.append(sum(ref() is not None for ref in made))
             inst = generate_instance(*args, **kwargs)
             made.append(weakref.ref(inst))
+            buffers.add(inst.A.ctypes.data)
             return inst
 
         monkeypatch.setattr(simulator, "generate_instance", tracking)
-        run_grid(CFG, PRIOR, n=64, trials=4, xi=1e-3, seed=2, lambdas=self.GRID)
-        assert alive_before == [0, 0, 0, 0]
+        run_grid(CFG, PRIOR, n=64, trials=6, xi=1e-3, seed=2, lambdas=self.GRID)
+        assert len(alive_before) == 6
+        assert alive_before[0] == 0
+        assert max(alive_before) <= 1
+        assert len(buffers) <= 2
+
+    def test_equals_sequential_loop(self):
+        # drawing ahead on a helper thread changes no bit of any report
+        n, trials, seed, xi = 64, 5, 13, 1e-3
+        cells = [[] for _ in self.GRID]
+        for i in range(trials):
+            inst = generate_instance(CFG, PRIOR, n, simulator._trial_rng(seed, i))
+            for lam, cell in zip(self.GRID, cells):
+                res = solve_lasso(inst.A, inst.y, lam)
+                cell.append(simulator.TrialResult(
+                    *empirical_metrics(res.x_hat, inst, xi),
+                    res.iters, res.kkt_residual, res.converged))
+        reports = run_grid(CFG, PRIOR, n=n, trials=trials, xi=xi, seed=seed, lambdas=self.GRID)
+        assert reports == tuple(simulator._report(cell, n, seed) for cell in cells)
+
+    def test_draw_error_is_raised_and_helper_joined(self, monkeypatch):
+        boom = RuntimeError("draw failed")
+        drawn = []
+
+        def failing(*args, **kwargs):
+            drawn.append(threading.current_thread())
+            if len(drawn) == 3:
+                raise boom
+            return generate_instance(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "generate_instance", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            run_grid(CFG, PRIOR, n=64, trials=6, xi=1e-3, seed=2, lambdas=self.GRID)
+        assert info.value is boom
+        assert len(drawn) == 3
+        assert threading.active_count() == before
+        # trial 0 is drawn on the calling thread, the others on helpers
+        assert drawn[0] is threading.current_thread()
+        assert not any(t.is_alive() for t in drawn[1:])
+
+    def test_solve_error_joins_helper(self, monkeypatch):
+        drawn = []
+        solves = []
+
+        def drawing(*args, **kwargs):
+            drawn.append(threading.current_thread())
+            # a slow draw, still running when the solve fails unless joined
+            time.sleep(0.05)
+            return generate_instance(*args, **kwargs)
+
+        def failing(*args, **kwargs):
+            solves.append(1)
+            if len(solves) == 5:
+                raise RuntimeError("solve failed")
+            return solve_lasso(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "generate_instance", drawing)
+        monkeypatch.setattr(simulator, "solve_lasso", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="solve failed"):
+            run_grid(CFG, PRIOR, n=64, trials=6, xi=1e-3, seed=2, lambdas=self.GRID)
+        # the fifth solve is in trial 1, while trial 2 is drawn
+        assert len(drawn) == 3
+        assert threading.active_count() == before
+        # trial 0 is drawn on the calling thread, the others on helpers
+        assert drawn[0] is threading.current_thread()
+        assert not any(t.is_alive() for t in drawn[1:])
 
     def test_bad_size_fails_before_any_instance(self, monkeypatch):
         calls = self._count_instances(monkeypatch)
