@@ -5,6 +5,7 @@ determinism."""
 
 import functools
 import math
+import sys
 import threading
 import time
 import weakref
@@ -682,8 +683,9 @@ class TestRunGrid:
         assert len(buffers) <= 2
 
     def test_equals_sequential_loop(self):
-        # drawing ahead on a helper thread changes no bit of any report
-        n, trials, seed, xi = 64, 5, 13, 1e-3
+        # drawing ahead on a helper thread changes no bit of any report, also
+        # with the threads switching every microsecond
+        n, trials, seed, xi = 64, 8, 13, 1e-3
         cells = [[] for _ in self.GRID]
         for i in range(trials):
             inst = generate_instance(CFG, PRIOR, n, simulator._trial_rng(seed, i))
@@ -692,7 +694,13 @@ class TestRunGrid:
                 cell.append(simulator.TrialResult(
                     *empirical_metrics(res.x_hat, inst, xi),
                     res.iters, res.kkt_residual, res.converged))
-        reports = run_grid(CFG, PRIOR, n=n, trials=trials, xi=xi, seed=seed, lambdas=self.GRID)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = run_grid(CFG, PRIOR, n=n, trials=trials, xi=xi, seed=seed,
+                               lambdas=self.GRID)
+        finally:
+            sys.setswitchinterval(interval)
         assert reports == tuple(simulator._report(cell, n, seed) for cell in cells)
 
     def test_draw_error_is_raised_and_helper_joined(self, monkeypatch):
