@@ -252,46 +252,38 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     draws each trial's instance once for the whole grid.
     """
     prior = sparse_bernoulli(spec.kappa)
-    rows = []
-    for lam in spec.lambda_grid:
-        row = {col: None for col in CSV_COLUMNS}
-        row["lambda"] = lam
-        try:
-            cfg = ModelConfig(
-                delta=spec.delta, kappa=spec.kappa, eps2=spec.eps2,
-                sigma_z2=spec.sigma_z2, lam=lam,
-            )
-            if spec.mode in ("theory", "both"):
-                report = predict_report(cfg, prior, spec.xi)
-                row["tau_star"] = report.solution.tau_star
-                row["beta_star"] = report.solution.beta_star
-                row["mse_theory"] = report.mse
-                row["phi_on_theory"] = report.phi_on
-                row["phi_off_theory"] = report.phi_off
-        except (ValueError, RuntimeError) as exc:
-            raise ComputationError(f"lambda={lam:g}: {exc}") from exc
-        rows.append(row)
+    grid = spec.lambda_grid
+    # SweepSpec has checked the model and every lambda
+    base = ModelConfig(delta=spec.delta, kappa=spec.kappa, eps2=spec.eps2,
+                       sigma_z2=spec.sigma_z2, lam=grid[0])
+    # the mode fills a column in every row or in none
+    columns = {"lambda": array("d", grid)}
+    if spec.mode in ("theory", "both"):
+        predictions = []
+        for lam in grid:
+            try:
+                predictions.append(predict_report(base.with_lam(lam), prior, spec.xi))
+            except (ValueError, RuntimeError) as exc:
+                raise ComputationError(f"lambda={lam:g}: {exc}") from exc
+        columns["tau_star"] = array("d", [pred.solution.tau_star for pred in predictions])
+        columns["beta_star"] = array("d", [pred.solution.beta_star for pred in predictions])
+        columns["mse_theory"] = array("d", [pred.mse for pred in predictions])
+        columns["phi_on_theory"] = array("d", [pred.phi_on for pred in predictions])
+        columns["phi_off_theory"] = array("d", [pred.phi_off for pred in predictions])
     if spec.mode in ("simulate", "both"):
-        grid = spec.lambda_grid
         try:
             # instances do not depend on lambda: any cell's cfg describes them
-            reports = run_grid(cfg, prior, spec.n, spec.trials, spec.xi, spec.seed, grid)
+            reports = run_grid(base, prior, spec.n, spec.trials, spec.xi, spec.seed, grid)
         except (ValueError, RuntimeError) as exc:
             raise ComputationError(f"lambda={grid[0]:g}..{grid[-1]:g}: {exc}") from exc
-        for row, emp in zip(rows, reports):
-            row["mse_emp_mean"] = emp.mean_mse
-            row["mse_emp_se"] = emp.se_mse
-            row["phi_on_emp_mean"] = emp.mean_phi_on
-            row["phi_on_emp_se"] = emp.se_phi_on
-            row["phi_off_emp_mean"] = emp.mean_phi_off
-            row["phi_off_emp_se"] = emp.se_phi_off
-            row["nonconverged_trials"] = emp.nonconverged_trials
-    # the mode fills a column in every row or in none
-    columns = {
-        col: array("q" if col == "nonconverged_trials" else "d", [row[col] for row in rows])
-        for col in CSV_COLUMNS if rows[0][col] is not None
-    }
-    return [SweepRow(columns, i) for i in range(len(rows))]
+        columns["mse_emp_mean"] = array("d", [emp.mean_mse for emp in reports])
+        columns["mse_emp_se"] = array("d", [emp.se_mse for emp in reports])
+        columns["phi_on_emp_mean"] = array("d", [emp.mean_phi_on for emp in reports])
+        columns["phi_on_emp_se"] = array("d", [emp.se_phi_on for emp in reports])
+        columns["phi_off_emp_mean"] = array("d", [emp.mean_phi_off for emp in reports])
+        columns["phi_off_emp_se"] = array("d", [emp.se_phi_off for emp in reports])
+        columns["nonconverged_trials"] = array("q", [emp.nonconverged_trials for emp in reports])
+    return [SweepRow(columns, i) for i in range(len(grid))]
 
 
 def _format_cell(value) -> str:

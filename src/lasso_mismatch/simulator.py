@@ -20,17 +20,16 @@ The Monte Carlo loop runs over trials first, then over lambda: instances do
 not depend on lambda, so each trial draws its instance once, from a
 deterministically derived per-trial random substream, and solves the whole
 lambda grid on it with independent (not warm-started) solves.  While one
-trial is solved, a helper thread draws the next trial's instance into the
-other of two matrix buffers the run reuses, so at most two instances are
-alive at a time.  Results are reproducible bit for bit regardless of the
-grid that contains a lambda, and equal those of drawing and solving the
-trials one after another.
+trial is solved, the one worker thread of a `concurrent.futures` executor
+draws the next trial's instance into the other of two matrix buffers the
+run reuses, so at most two instances are alive at a time.  Results are
+reproducible bit for bit regardless of the grid that contains a lambda, and
+equal those of drawing and solving the trials one after another.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,17 +150,19 @@ def generate_instance(
     values are drawn from the prior conditioned on being nonzero.  A has iid
     N(0, 1/n) entries; y is drawn from its law given A, H = gamma A + eps G with
     G independent of A, as y = gamma A x0 + s xi, s^2 = sigma_z2 + eps^2 |x0|^2/n.
-    A is written into `out` when given, which must be a C-contiguous float64
-    array of shape (m, n) (ValueError otherwise, before anything is drawn),
-    and into a new array otherwise; the draws are the same either way.
+    A is written into `out` when given, which must be a writable C-contiguous
+    float64 array of shape (m, n) (ValueError otherwise, before anything is
+    drawn), and into a new array otherwise; the draws are the same either way.
     """
     m, k = _instance_size(cfg, n)
     if out is None:
         A = np.empty((m, n))
-    elif out.shape != (m, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {(m, n)}, got "
-                         f"shape {out.shape}, dtype {out.dtype}, "
-                         f"C-contiguous {out.flags.c_contiguous}")
+    elif (out.shape != (m, n) or out.dtype != np.float64 or not out.flags.c_contiguous
+          or not out.flags.writeable):
+        raise ValueError(f"out must be a writable C-contiguous float64 array of shape "
+                         f"{(m, n)}, got shape {out.shape}, dtype {out.dtype}, "
+                         f"C-contiguous {out.flags.c_contiguous}, "
+                         f"writable {out.flags.writeable}")
     else:
         A = out
     support = np.sort(rng.choice(n, size=k, replace=False))
@@ -543,29 +544,6 @@ def _report(results: list[TrialResult], n: int, seed: int) -> EmpiricalReport:
     )
 
 
-class _Draw(threading.Thread):
-    """Runs draw(index) on its own thread; `result()` joins it, then returns or raises."""
-
-    def __init__(self, draw, index: int) -> None:
-        super().__init__(name=f"lasso-mismatch-draw-{index}")
-        self._draw, self._index = draw, index
-        self._value: Instance | None = None
-        self._error: BaseException | None = None
-        self.start()
-
-    def run(self) -> None:
-        try:
-            self._value = self._draw(self._index)
-        except BaseException as exc:
-            self._error = exc
-
-    def result(self) -> Instance:
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 def run_grid(
     cfg: ModelConfig,
     p: Prior,
@@ -581,13 +559,15 @@ def run_grid(
     draws its instance once, from a random substream derived from (seed,
     trial index), and solves every lambda on it.  Each solve is independent
     of the others, so a report is identical for any grid that contains its
-    lambda.  Trials are solved in order on the calling thread; while trial i
-    is solved, one helper thread draws trial i + 1 into the other of two
-    m x n buffers allocated once per run, so at most two instances are alive
-    at a time.  The reports equal, bit for bit, those of drawing and solving
-    the trials one after another.  The helper is joined before run_grid
-    returns or raises, and an exception raised by a draw is raised here.
-    Non-converged solver runs are recorded, not dropped.
+    lambda.  Trials are solved in order on the calling thread, which also
+    draws trial 0; while trial i is solved, the one worker thread of a
+    `ThreadPoolExecutor` draws trial i + 1 into the other of two m x n
+    buffers allocated once per run, so at most two instances are alive at a
+    time.  The reports equal, bit for bit, those of drawing and solving the
+    trials one after another.  The executor is shut down, and its worker
+    joined, before run_grid returns or raises, and an exception raised by a
+    draw is raised here.  Non-converged solver runs are recorded, not
+    dropped.
     """
     _check_run(cfg, n, trials, seed)
     _check_positive("xi", xi)
@@ -601,21 +581,22 @@ def run_grid(
     def draw(i: int) -> Instance:
         return generate_instance(cfg, p, n, _trial_rng(seed, i), out=buffers[i % 2])
 
+    # imported here: concurrent.futures loads logging, which would add to
+    # every interpreter start that imports the package
+    from concurrent.futures import ThreadPoolExecutor
+
     cells: list[list[TrialResult]] = [[] for _ in lambdas]
     inst = draw(0)
-    for i in range(trials):
-        # trial i - 1 is no longer referenced, so its buffer is free
-        ahead = _Draw(draw, i + 1) if i + 1 < trials else None
-        try:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="lasso-mismatch-draw") as pool:
+        for i in range(trials):
+            # trial i - 1 is no longer referenced, so its buffer is free
+            ahead = pool.submit(draw, i + 1) if i + 1 < trials else None
             for lam, cell in zip(lambdas, cells):
                 res = solve_lasso(inst.A, inst.y, lam)
                 cell.append(TrialResult(*empirical_metrics(res.x_hat, inst, xi),
                                         res.iters, res.kkt_residual, res.converged))
-        finally:
             if ahead is not None:
-                ahead.join()
-        if ahead is not None:
-            inst = ahead.result()
+                inst = ahead.result()
     return tuple(_report(cell, n, seed) for cell in cells)
 
 

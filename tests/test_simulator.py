@@ -5,6 +5,8 @@ determinism."""
 
 import functools
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -96,8 +98,10 @@ class TestGenerateInstance:
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         m, n = 51, 64
+        read_only = np.empty((m, n))
+        read_only.flags.writeable = False
         for bad in (np.empty((m, n + 1)), np.empty((m, n), dtype=np.float32),
-                    np.empty((n, m)).T, np.empty((m, 2 * n))[:, ::2]):
+                    np.empty((n, m)).T, np.empty((m, 2 * n))[:, ::2], read_only):
             with pytest.raises(ValueError, match="out must be"):
                 generate_instance(CFG, PRIOR, n, rng, out=bad)
         # the checks come before any draw
@@ -676,11 +680,14 @@ class TestRunGrid:
             return inst
 
         monkeypatch.setattr(simulator, "generate_instance", tracking)
+        before = threading.active_count()
         run_grid(CFG, PRIOR, n=64, trials=6, xi=1e-3, seed=2, lambdas=self.GRID)
         assert len(alive_before) == 6
         assert alive_before[0] == 0
         assert max(alive_before) <= 1
         assert len(buffers) <= 2
+        # the executor's worker is joined on a normal return too
+        assert threading.active_count() == before
 
     def test_equals_sequential_loop(self):
         # drawing ahead on a helper thread changes no bit of any report, also
@@ -751,6 +758,16 @@ class TestRunGrid:
         # trial 0 is drawn on the calling thread, the others on helpers
         assert drawn[0] is threading.current_thread()
         assert not any(t.is_alive() for t in drawn[1:])
+
+    def test_package_import_loads_no_executor(self):
+        # run_grid imports concurrent.futures itself, so the logging it loads
+        # costs nothing to an interpreter that only imports the package
+        code = ("import sys, lasso_mismatch, lasso_mismatch.cli; "
+                "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(simulator.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_bad_size_fails_before_any_instance(self, monkeypatch):
         calls = self._count_instances(monkeypatch)
