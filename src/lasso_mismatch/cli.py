@@ -235,14 +235,11 @@ def parse_args(argv: list[str]) -> SweepSpec:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
-    try:
-        return SweepSpec(
-            delta=delta, kappa=kappa, eps2=eps2, sigma_z2=sigma_z2,
-            lambda_grid=grid, xi=ns.xi, n=ns.n, trials=ns.trials,
-            seed=ns.seed, mode=ns.mode, out=ns.out,
-        )
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
+    return SweepSpec(
+        delta=delta, kappa=kappa, eps2=eps2, sigma_z2=sigma_z2,
+        lambda_grid=grid, xi=ns.xi, n=ns.n, trials=ns.trials,
+        seed=ns.seed, mode=ns.mode, out=ns.out,
+    )
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -274,7 +271,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         try:
             # instances do not depend on lambda: any cell's cfg describes them
             reports = run_grid(base, prior, spec.n, spec.trials, spec.xi, spec.seed, grid)
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError, MemoryError) as exc:
             raise ComputationError(f"lambda={grid[0]:g}..{grid[-1]:g}: {exc}") from exc
         columns["mse_emp_mean"] = array("d", [emp.mean_mse for emp in reports])
         columns["mse_emp_se"] = array("d", [emp.se_mse for emp in reports])

@@ -345,36 +345,35 @@ def _derivatives(tau: float, beta: float, cfg: ModelConfig,
             slope_beta, h_tt + h_tb * h_tb / slope_beta)
 
 
-def _beta_root(tau: float, cfg: ModelConfig, p: Prior,
-               start: float = math.nan) -> tuple[float, float, float, int]:
-    """Root of dD/dbeta at tau: (beta, dD/dtau and its total tau-slope there, evaluations).
+def _beta_root(tau: float, cfg: ModelConfig, p: Prior, start: float = math.nan
+               ) -> tuple[float, tuple[float, float, float, float], int]:
+    """Root of dD/dbeta at tau: (beta, `_derivatives` at (tau, beta), evaluations).
 
     e - chi |eta| = min(a^2, chi^2)/2 lies in [0, a^2/2], so the root lies in
     [tau (delta - 1) + s^2/tau, tau delta + (sigma_z^2 + E[X^2])/tau].  A cold
     search starts from half the lower bound, since at small lambda the root
     can sit on the bound itself, within rounding of the gradient's terms; a
-    start inside that bracket is evaluated first.  The dD/dtau values are
-    those of the search's last evaluation.
+    start inside that bracket is evaluated first.  The derivatives are those
+    of the search's last evaluation, which is at the returned beta.
     """
-    at_root = (math.nan, math.nan)
+    last = ()
 
     def f(beta: float) -> tuple[float, float]:
-        nonlocal at_root
-        d_tau, d_beta, slope_beta, slope_tau = _derivatives(tau, beta, cfg, p)
-        at_root = (d_tau, slope_tau)
-        return -d_beta, slope_beta
+        nonlocal last
+        last = _derivatives(tau, beta, cfg, p)
+        return -last[1], last[2]
 
     ex2 = p.second_moment()
     hi = tau * cfg.delta + (cfg.sigma_z2 + ex2) / tau
     lo = max(0.5 * (tau * (cfg.delta - 1.0) + (cfg.sigma_z2 + cfg.eps2 * ex2) / tau), 1e-9 * hi)
     beta, evals = bracketed_root(f, lo, hi, "beta", start=start, tau=tau)
-    return beta, at_root[0], at_root[1], evals
+    return beta, last, evals
 
 
 def maximize_over_beta(tau: float, cfg: ModelConfig, p: Prior) -> tuple[float, float, int]:
     """Maximize the concave beta -> D(tau, beta): (argmax, value, gradient evaluations)."""
     _check_positive("tau", tau)
-    beta, _, _, evals = _beta_root(tau, cfg, p)
+    beta, _, evals = _beta_root(tau, cfg, p)
     return beta, objective_D(tau, beta, cfg, p), evals
 
 
@@ -387,25 +386,26 @@ def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
     there the estimate is zero, so delta tau*^2 - sigma_z^2 = E[X^2].  Its
     bracket is [lo, max(2 lo, 2 tau0)], lo half of sigma_z/sqrt(delta), below
     any achievable error scale.  tau0 depends on the configuration only, so
-    each solve is independent of any other lambda.  Raises
+    each solve is independent of any other lambda.  The residual is read
+    from the tau search's last gradient evaluation, at (tau*, beta*).  Raises
     NonConvergenceError when a root search fails or the scaled residual
     exceeds SADDLE_TOL * D(tau*, beta*); that message names delta, and says
     so when the tau slope (about delta^2) or tau dD/dtau overflowed, as it
     does from delta of about 1e154 up.
     """
     inner_total = 0
-    beta = math.nan
+    beta, last = math.nan, ()
 
     def d_tau(tau: float) -> tuple[float, float]:
-        nonlocal inner_total, beta
-        beta, grad, slope, evals = _beta_root(tau, cfg, p, start=beta)
+        nonlocal inner_total, beta, last
+        beta, last, evals = _beta_root(tau, cfg, p, start=beta)
         inner_total += evals
-        return grad, slope
+        return last[0], last[3]
 
     lo = 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta)
     tau0 = math.sqrt((cfg.sigma_z2 + p.second_moment()) / cfg.delta)
     tau, outer_evals = bracketed_root(d_tau, lo, max(2.0 * lo, 2.0 * tau0), "tau", start=tau0)
-    g_tau, g_beta, _, slope = _derivatives(tau, beta, cfg, p)
+    g_tau, g_beta, _, slope = last
     value = objective_D(tau, beta, cfg, p)
     residual = (abs(tau * g_tau), abs(beta * g_beta))
     if not max(residual) <= SADDLE_TOL * value:

@@ -119,25 +119,31 @@ class EmpiricalReport:
 
 
 def _instance_size(cfg: ModelConfig, n: int) -> tuple[int, int]:
-    """(m, k) = (round(delta n), round(kappa n)); ValueError unless n >= 8, m >= 1, 1 <= k < n."""
+    """(m, k) = (round(delta n), round(kappa n)); ValueError unless n >= 8, m >= 1, 1 <= k < n.
+
+    Also ValueError when delta n or kappa n is not a finite float.
+    """
     if n < 8:
         raise ValueError(f"n must be at least 8, got {n}")
-    m = round_count(cfg.delta * n)
+    try:
+        m, k = round_count(cfg.delta * n), round_count(cfg.kappa * n)
+    except OverflowError:  # a product, or n itself, is beyond the float range
+        raise ValueError(f"delta n and kappa n must be finite floats, got "
+                         f"delta={cfg.delta:g}, n={n}") from None
     if m < 1:
         raise ValueError(f"measurement count m={m} = round(delta n) must be at least 1, n={n}")
-    k = round_count(cfg.kappa * n)
     if k < 1 or k >= n:
         raise ValueError(f"support size k={k} = round(kappa n) out of range for n={n}")
     return m, k
 
 
-def _check_run(cfg: ModelConfig, n: int, trials: int, seed: int) -> None:
-    """ValueError unless trials >= 1, seed >= 0 and n gives a valid instance size."""
+def _check_run(cfg: ModelConfig, n: int, trials: int, seed: int) -> tuple[int, int]:
+    """The instance size (m, k); ValueError unless trials >= 1, seed >= 0 and n gives one."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    _instance_size(cfg, n)
+    return _instance_size(cfg, n)
 
 
 def generate_instance(
@@ -214,8 +220,6 @@ def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
     matrix as one, and the third the dense solves.
     """
     support = np.flatnonzero(signs)
-    if support.size > A.shape[0]:
-        return None, 0, 0
     s = signs[support]
     A_s = A[:, support]
     gram = A_s.T @ A_s
@@ -260,7 +264,7 @@ def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
     itself, and drops the entries that reach zero.  Once the QP solution
     keeps its signs, the worst off-support KKT violator j joins with sign
     -sign(g_j).  The pattern is returned when no entry violates by more
-    than kkt_gate; the search gives up (None) when S would reach m
+    than kkt_gate; the search gives up (None) when S would pass m
     entries, the objective fails to fall, a column is dependent on S, or
     `_SEARCH_STEPS` steps pass.  It keeps one inverse of A_S^T A_S and
     changes it by bordering (add) and Schur complements (drop), so a step
@@ -273,10 +277,8 @@ def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
     m, n = A.shape
     support = np.flatnonzero(x)
     k = support.size
-    if k >= m:
-        return None, 0, 0
-    # each step adds at most one entry, and S stays below m entries
-    cap = min(m - 1, k + _SEARCH_STEPS)
+    # S starts with at most m entries and gains at most one a step, so it stays within m
+    cap = min(m, k + _SEARCH_STEPS)
     active = np.empty(cap, dtype=np.intp)
     active[:k] = support
     theta = np.empty(cap)
@@ -390,16 +392,17 @@ def solve_lasso(
     which bounds ||A||_2^2.
     The products A x and A w are carried through the iterations, so an
     iteration costs two matrix-vector products plus one per failed test.
-    Once the sign pattern of the iterate has held for a few iterations, the
-    exact solution on that pattern is tried and returned if it passes the
-    KKT gate.  If it fails, a feature-sign search from the iterate corrects
-    the pattern (dropping entries that cross zero, adding the worst KKT
-    violator), and the exact solution on its pattern is tried the same way;
-    the search gives up, and FISTA goes on, at m entries or after a few
-    dozen steps.  Either way the returned x depends only on (A, y, lam,
-    pattern), not on the path to the pattern.  Iterations stop once the
-    relative objective change falls below tol and the KKT residual is within
-    the gate 10*tol*lam, floored at 64 ulps of ||A^T y||_inf, below which the
+    Once the sign pattern of the iterate has held for a few iterations, and
+    has at most m entries (past m the columns of A_S are dependent), the
+    exact solution on it is tried and returned if it passes the KKT gate.
+    If it fails, a feature-sign search from the iterate corrects the pattern
+    (dropping entries that cross zero, adding the worst KKT violator), and
+    the exact solution on its pattern is tried the same way; the search
+    gives up, and FISTA goes on, past m entries or after a few dozen steps.
+    Either way the returned x depends only on (A, y, lam, pattern), not on
+    the path to the pattern.  Iterations stop once the relative objective
+    change falls below tol and the KKT residual is within the gate
+    10*tol*lam, floored at 64 ulps of ||A^T y||_inf, below which the
     residual is rounding; hitting max_iter with a larger residual flags the
     result as non-converged (it is still returned).
     ||A||_F^2 must be finite and at least the smallest normal float: the
@@ -477,7 +480,7 @@ def solve_lasso(
             matvecs += 1
             if kkt <= kkt_gate:
                 break
-        if stable == _POLISH_AFTER:
+        if stable == _POLISH_AFTER and np.count_nonzero(signs) <= m:
             polished, products, solves = _polish(A, y, lam, signs, kkt_gate)
             matvecs += products
             exact_solves += solves
@@ -569,13 +572,12 @@ def run_grid(
     draw is raised here.  Non-converged solver runs are recorded, not
     dropped.
     """
-    _check_run(cfg, n, trials, seed)
+    m, _ = _check_run(cfg, n, trials, seed)
     _check_positive("xi", xi)
     lambdas = tuple(lambdas)
     if not lambdas or not all(0.0 < lam < math.inf for lam in lambdas):
         raise ValueError(
             f"lambdas must be a nonempty list of positive finite values, got {lambdas}")
-    m, _ = _instance_size(cfg, n)
     buffers = (np.empty((m, n)), np.empty((m, n)))
 
     def draw(i: int) -> Instance:

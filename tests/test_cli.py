@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from lasso_mismatch import cli
 from lasso_mismatch.cli import (
     CSV_COLUMNS,
     ComputationError,
@@ -16,6 +17,7 @@ from lasso_mismatch.cli import (
     parse_args,
     run_sweep,
 )
+from lasso_mismatch.predictor import NonConvergenceError
 
 
 class TestParseArgs:
@@ -51,6 +53,13 @@ class TestParseArgs:
             "--lambda-min 0.1 --lambda-max 0.5 --lambda-steps 5".split()
         )
         assert spec.lambda_grid == pytest.approx((0.1, 0.2, 0.3, 0.4, 0.5))
+
+    def test_one_step_range_is_its_minimum(self):
+        spec = parse_args(
+            "--delta 0.8 --kappa 0.1 --eps2 0.1 --sigma-z2 0.2 "
+            "--lambda-min 0.3 --lambda-max 0.5 --lambda-steps 1".split()
+        )
+        assert spec.lambda_grid == (0.3,)
 
     def test_lambda_list_excludes_range(self):
         with pytest.raises(UsageError):
@@ -304,6 +313,49 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "usage error" in err
         assert flag.lstrip("-").replace("-", "_") in err
+
+    @pytest.mark.parametrize("args, message", [
+        ("--sigma-z2 0.2 --lambda-list ,", "lambda grid is empty"),
+        ("--lambda-list 1", "one of --sigma-z2 or --snr is required"),
+        ("--sigma-z2 0.2 --lambda-list 1,abc", "bad --lambda-list"),
+        ("--sigma-z2 0.2 --lambda-min 0.1 --lambda-max 0.5", "provide --lambda-list or all"),
+        ("--sigma-z2 0.2 --lambda-min 0.1 --lambda-max 0.5 --lambda-steps 0",
+         "--lambda-steps must be at least 1"),
+        # delta n overflows a float, and n is beyond the float range: both
+        # used to end in an OverflowError traceback
+        ("--delta 1e308 --sigma-z2 0.1 --lambda-list 1 --mode simulate --n 10 --trials 1",
+         "delta n and kappa n must be finite floats, got delta=1e+308, n=10"),
+        ("--sigma-z2 0.1 --lambda-list 1 --mode simulate --n 1" + "0" * 400 + " --trials 1",
+         "delta n and kappa n must be finite floats"),
+    ], ids=["empty-grid", "no-noise", "bad-list", "partial-range", "zero-steps",
+            "delta-n-overflow", "n-overflow"])
+    def test_usage_error_names_its_cause(self, capsys, args, message):
+        # --delta given twice keeps the last value
+        argv = ("--delta 0.8 --kappa 0.1 --eps2 0.1 " + args).split()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+
+    def test_computation_error_is_2(self, capsys, monkeypatch):
+        def fail(cfg, prior, xi):
+            raise NonConvergenceError("synthetic saddle failure")
+
+        monkeypatch.setattr(cli, "predict_report", fail)
+        assert main("--delta 0.8 --kappa 0.1 --eps2 0.1 --snr 0.5 --lambda-list 1.2".split()) == 2
+        err = capsys.readouterr().err
+        assert err == "computation error: lambda=1.2: synthetic saddle failure\n"
+
+    def test_allocation_failure_is_2(self, capsys, monkeypatch):
+        # a MemoryError (numpy's failed allocation) is a computation error;
+        # raised by a stand-in, since a real oversized allocation may
+        # succeed where the memory is overcommitted
+        def fail(*args):
+            raise MemoryError("Unable to allocate 56.8 PiB")
+
+        monkeypatch.setattr(cli, "run_grid", fail)
+        assert main(self.SIMULATE.split()) == 2
+        err = capsys.readouterr().err
+        assert err == "computation error: lambda=0.5..0.5: Unable to allocate 56.8 PiB\n"
 
     def test_stdout_default(self, capsys):
         code = main(

@@ -259,9 +259,9 @@ class TestSlopes:
         cfg = cfg.with_lam(lam)
         for tau in (0.3, 0.6, 1.2):
             dt = 1e-5 * tau
-            want = (predictor._beta_root(tau + dt, cfg, p)[1]
-                    - predictor._beta_root(tau - dt, cfg, p)[1]) / (2 * dt)
-            got = predictor._beta_root(tau, cfg, p)[2]
+            want = (predictor._beta_root(tau + dt, cfg, p)[1][0]
+                    - predictor._beta_root(tau - dt, cfg, p)[1][0]) / (2 * dt)
+            got = predictor._beta_root(tau, cfg, p)[1][3]
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), tau
 
 
@@ -279,6 +279,21 @@ class TestSolveScalar:
                                                       REF_PRIOR)
         assert sol.residual == (abs(sol.tau_star * g_tau), abs(sol.beta_star * g_beta))
         assert max(sol.residual) <= SADDLE_TOL * sol.objective
+
+    def test_gradient_evaluated_once_per_beta_search_step(self, monkeypatch):
+        # the residual is read from the tau search's last evaluation, which is
+        # at (tau*, beta*), so the saddle costs no extra gradient evaluation
+        calls = []
+        derivatives = predictor._derivatives
+
+        def spy(*args):
+            calls.append(args[:2])
+            return derivatives(*args)
+
+        monkeypatch.setattr(predictor, "_derivatives", spy)
+        sol = solve_scalar(REF_CFG, REF_PRIOR)
+        assert len(calls) == sol.inner_iters_total
+        assert calls[-1] == (sol.tau_star, sol.beta_star)
 
     def test_newton_evaluation_count(self):
         # median gradient evaluations per solve on the grid, outer and inner

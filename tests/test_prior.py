@@ -42,6 +42,9 @@ class TestConstruction:
             Prior(atoms=((0.0, 1.0), (1.0, 0.0)))
         with pytest.raises(ValueError):
             Prior(atoms=())
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="atom value must be finite"):
+                Prior(atoms=((0.0, 0.5), (value, 0.5)))
 
     def test_moments(self):
         p = sparse_bernoulli(0.1)

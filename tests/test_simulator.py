@@ -120,6 +120,15 @@ class TestGenerateInstance:
         with pytest.raises(ValueError, match="m=0"):
             generate_instance(few, PRIOR, 10, rng)
 
+    def test_size_beyond_the_float_range_errors(self):
+        # delta n = inf, and an n no float can hold, used to raise OverflowError
+        huge = ModelConfig(delta=1e308, kappa=0.1, eps2=0.1, sigma_z2=0.1, lam=1.0)
+        for cfg, n in ((huge, 10), (CFG, 10**400)):
+            with pytest.raises(ValueError, match=f"n={n}"):
+                generate_instance(cfg, PRIOR, n, np.random.default_rng(0))
+            with pytest.raises(ValueError, match=f"n={n}"):
+                run_grid(cfg, PRIOR, n=n, trials=1, xi=1e-3, seed=0, lambdas=(1.0,))
+
     def test_law_of_y_given_A(self):
         # y - gamma A x0 is N(0, s^2) noise independent of A x0, and y agrees
         # in its second moments with the two-matrix draw y = H x0 + z,
@@ -384,22 +393,119 @@ class TestFeatureSign:
         ref = cd_lasso(inst.A, inst.y, lam, start=res.x_hat)
         assert np.max(np.abs(res.x_hat - ref)) <= 1e-8
 
-    def test_declines_a_start_with_m_entries(self, monkeypatch):
+    def test_no_pattern_grows_past_m_entries(self, monkeypatch):
+        # fig-2 at lambda = 0.01, n = 64: the iterates of iterations 20-25
+        # share a settled pattern of 61 > m = 51 entries, which is not tried
         inst = self._instance(64, 1)
         m = inst.A.shape[0]
         lam = self.FIG2.lam
-        x = np.zeros(64)
-        x[:m] = 1.0
-        r = inst.A @ x - inst.y
-        assert simulator._feature_sign(
-            inst.A, inst.y, lam, x, r, inst.A.T @ inst.y, 1e-9) == (None, 0, 0)
-        # every settled pattern of this solve has |S| >= m = 51, so each
-        # search declines and FISTA goes on to the optimum
-        calls = self._spy(monkeypatch)
+        sizes = []
+        for name in ("_polish", "_feature_sign"):
+            helper = getattr(simulator, name)
+
+            def spy(A, y, lam, pattern, *rest, _helper=helper):
+                out = _helper(A, y, lam, pattern, *rest)
+                sizes.append((np.count_nonzero(pattern), out[0] is not None))
+                return out
+
+            monkeypatch.setattr(simulator, name, spy)
+        settled = {tuple(np.sign(solve_lasso(inst.A, inst.y, lam, max_iter=k).x_hat))
+                   for k in range(20, 26)}
+        assert len(settled) == 1 and np.count_nonzero(settled.pop()) == 61
         res = solve_lasso(inst.A, inst.y, lam)
-        assert calls and all(k >= m and pattern is None for k, pattern in calls)
-        assert res.converged and res.iters < 20000
-        assert res.kkt_residual <= 10 * 1e-10 * lam
+        assert sizes and all(k <= m for k, _ in sizes)
+        # the search runs from |S| = m: the first exact solve there is
+        # rejected, and the search's pattern is accepted
+        assert sizes[:3] == [(m, False), (m, True), (m - 1, True)]
+        assert res.polished and res.converged
+        # coordinate descent started at x_hat finds no coordinate to move
+        ref = cd_lasso(inst.A, inst.y, lam, start=res.x_hat)
+        assert np.max(np.abs(res.x_hat - ref)) <= 1e-8
+
+        # a search from m entries whose QP solution keeps its signs, with
+        # y = A_S x_S + lam A_S^{-T} theta, declines to add a violator
+        # beyond m; with only the m columns of S the same start is optimal
+        rng = np.random.default_rng(0)
+        m, n = 8, 12
+        A = rng.normal(size=(m, n))
+        theta = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+        A_s = A[:, :m]
+        y = A_s @ (theta * rng.uniform(0.5, 1.5, m)) + lam * np.linalg.solve(A_s.T, theta)
+        x_qp = np.linalg.solve(A_s.T @ A_s, A_s.T @ y - lam * theta)
+        assert np.array_equal(np.sign(x_qp), theta)
+        assert np.max(np.abs(A[:, m:].T @ (A_s @ x_qp - y))) > 2 * lam
+        x = np.zeros(n)
+        x[:m] = 0.5 * x_qp
+        # the inverse, one step to the QP solution and one gradient
+        assert simulator._feature_sign(A, y, lam, x, A @ x - y, A.T @ y, 1e-9) == (None, 3, 1)
+        pattern, _, _ = simulator._feature_sign(A_s, y, lam, x[:m], A_s @ x[:m] - y,
+                                                A_s.T @ y, 1e-9)
+        assert np.array_equal(pattern, theta)
+
+    @staticmethod
+    def _parallel_columns(factor):
+        # column 1 is factor times column 0, so no pattern holding both can
+        # be solved exactly
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(12, 16))
+        A[:, 1] = factor * A[:, 0]
+        y = A[:, 0] + 0.1 * rng.normal(size=12)
+        return A, y, 0.5 * float(A[:, 0] @ y)
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0], ids=["equal", "doubled"])
+    def test_parallel_columns_reach_the_optimum(self, factor):
+        A, y, lam_mid = self._parallel_columns(factor)
+        for lam in (0.05, lam_mid):
+            res = solve_lasso(A, y, lam)
+            ref = cd_lasso(A, y, lam)
+            assert res.converged
+            assert lasso_objective(A, y, lam, res.x_hat) == pytest.approx(
+                lasso_objective(A, y, lam, ref), rel=1e-12, abs=1e-14)
+            assert np.max(np.abs(A @ (res.x_hat - ref))) <= 1e-8
+
+    def test_declines_a_dependent_column(self):
+        # from x = e_0 the search steps to the solution on {0}, where column
+        # 1 = 2 column 0 violates by lam; its Schur complement is zero, so the
+        # search declines after the inverse, the step, the gradient and the
+        # violator's Gram column.  A column equal to an active one cannot get
+        # here: its gradient is that of the active column, within the gate.
+        A, y, lam = self._parallel_columns(2.0)
+        aty = A.T @ y
+        assert int(np.argmax(np.abs(aty))) == 1
+        x = np.zeros(16)
+        x[0] = 0.01
+        assert simulator._feature_sign(A, y, lam, x, A @ x - y, aty, 1e-12) == (None, 4, 1)
+
+    def test_gives_up_after_its_step_budget(self, monkeypatch):
+        # from x = 0 the search adds at most one entry a step, and this
+        # optimum has 46 entries: it gives up after _SEARCH_STEPS = 32 steps,
+        # and with a larger budget the same search finds the optimum's pattern
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(60, 80))
+        y = rng.normal(size=60)
+        aty = A.T @ y
+        lam = 0.05 * float(np.max(np.abs(aty)))
+        x = np.zeros(80)
+        assert simulator._feature_sign(A, y, lam, x, -y, aty, 1e-9)[0] is None
+        monkeypatch.setattr(simulator, "_SEARCH_STEPS", 200)
+        pattern = simulator._feature_sign(A, y, lam, x, -y, aty, 1e-9)[0]
+        ref = cd_lasso(A, y, lam)
+        assert np.count_nonzero(ref) == 46
+        assert np.array_equal(pattern, np.sign(ref))
+
+    def test_singular_gram_is_declined(self):
+        # a zero column makes A_S^T A_S exactly singular: the exact solve
+        # and the search's first inverse both decline (solve_lasso never
+        # puts a zero column in a pattern, since its gradient is zero)
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(12, 16))
+        A[:, 3] = 0.0
+        y = rng.normal(size=12)
+        signs = np.zeros(16)
+        signs[[2, 3, 5]] = 1.0
+        assert simulator._polish(A, y, 0.1, signs, 1e-9) == (None, 2, 1)
+        x = 0.1 * signs
+        assert simulator._feature_sign(A, y, 0.1, x, A @ x - y, A.T @ y, 1e-9) == (None, 1, 1)
 
     def test_counts_cover_the_search(self, monkeypatch):
         # every product of the search reaches matvecs, and every dense
