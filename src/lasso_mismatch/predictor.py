@@ -264,7 +264,9 @@ def bracketed_root(f, lo: float, hi: float, name: str, *, start: float = math.na
     f returns (value, slope).  The search evaluates start if lo < start < hi,
     and lo otherwise; each point then replaces the end of [lo, hi] on its side
     of the sign change.  The next point is the Newton point of the last one
-    when that lies strictly inside the bracket.  Otherwise it is the end on the
+    when that lies strictly inside the bracket and, with both ends known, the
+    step is at most half the move before last (Press et al.'s test, which a
+    search bouncing across the root fails).  Otherwise it is the end on the
     root's side if f is not yet known there: lo, where f must be negative, or
     hi, which doubles while f(hi) < 0, up to BRACKET_CAP times its starting
     value.  With both ends known it is the midpoint.  Stops when f vanishes,
@@ -282,6 +284,7 @@ def bracketed_root(f, lo: float, hi: float, name: str, *, start: float = math.na
     x = start if lo < start < hi else lo
     lo_known = hi_known = False
     evals = 0
+    prev = prev2 = math.nan  # the two points before x; a nan move stalls nothing
     while evals < ROOT_MAX_EVALS:
         fx, slope = f(x)
         evals += 1
@@ -304,7 +307,9 @@ def bracketed_root(f, lo: float, hi: float, name: str, *, start: float = math.na
         if abs(step) <= ROOT_REL_TOL * x or closed:
             return x, evals
         x_next = x - step
-        if lo < x_next < hi:
+        stalled = lo_known and hi_known and abs(step) > 0.5 * abs(prev - prev2)
+        prev2, prev = prev, x
+        if lo < x_next < hi and not stalled:
             x = x_next
         elif not hi_known:
             x = hi
@@ -349,12 +354,18 @@ def _beta_root(tau: float, cfg: ModelConfig, p: Prior, start: float = math.nan
                ) -> tuple[float, tuple[float, float, float, float], int]:
     """Root of dD/dbeta at tau: (beta, `_derivatives` at (tau, beta), evaluations).
 
-    e - chi |eta| = min(a^2, chi^2)/2 lies in [0, a^2/2], so the root lies in
-    [tau (delta - 1) + s^2/tau, tau delta + (sigma_z^2 + E[X^2])/tau].  A cold
-    search starts from half the lower bound, since at small lambda the root
-    can sit on the bound itself, within rounding of the gradient's terms; a
-    start inside that bracket is evaluated first.  The derivatives are those
-    of the search's last evaluation, which is at the returned beta.
+    The root solves beta = tau (delta - 1) + (s^2 + E min(a^2, chi^2))/tau,
+    chi = 2 lam tau / beta, so it lies below tau delta + (sigma_z^2 + E[X^2])/tau
+    and above both tau (delta - 1) + s^2/tau and min(b, tau delta/2 + s^2/tau),
+    b = lam sqrt(8 delta/3): |a| stochastically dominates |tau H| (Anderson's
+    inequality), and (x - c^2)_+ <= x^2/(4 c^2) gives E min(H^2, c^2) >=
+    1 - 3/(4 c^2), so with c = 2 lam/beta a root below b has E min(a^2, chi^2)
+    >= tau^2 (1 - delta/2).  The second bound is positive and scales with lam,
+    as the root does when lam -> 0 at delta < 1.  A cold search starts from
+    half the larger bound, since at small lambda the root can sit on the first
+    one itself, within rounding of the gradient's terms; a start inside the
+    bracket is evaluated first.  The derivatives are those of the search's
+    last evaluation, which is at the returned beta.
     """
     last = ()
 
@@ -364,8 +375,10 @@ def _beta_root(tau: float, cfg: ModelConfig, p: Prior, start: float = math.nan
         return -last[1], last[2]
 
     ex2 = p.second_moment()
+    noise = (cfg.sigma_z2 + cfg.eps2 * ex2) / tau
     hi = tau * cfg.delta + (cfg.sigma_z2 + ex2) / tau
-    lo = max(0.5 * (tau * (cfg.delta - 1.0) + (cfg.sigma_z2 + cfg.eps2 * ex2) / tau), 1e-9 * hi)
+    lo = 0.5 * max(tau * (cfg.delta - 1.0) + noise,
+                   min(cfg.lam * math.sqrt(8.0 * cfg.delta / 3.0), 0.5 * tau * cfg.delta + noise))
     beta, evals = bracketed_root(f, lo, hi, "beta", start=start, tau=tau)
     return beta, last, evals
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .kernels import _check_positive, _gauss_moments, gauss_expect_eta
 
 __all__ = [
@@ -19,7 +17,6 @@ __all__ = [
     "sparse_bernoulli",
     "prior_expect_e",
     "prior_expect_eta_x0",
-    "sample_on_support",
 ]
 
 _PROB_TOL = 1e-12
@@ -60,10 +57,6 @@ class Prior:
     def second_moment(self) -> float:
         """E[X^2] of the marginal."""
         return self._second_moment
-
-    def zero_mass(self) -> float:
-        """Probability of the atom at exactly zero (0.0 if absent)."""
-        return sum(p for v, p in self.atoms if v == 0.0)
 
     def nonzero_atoms(self) -> tuple[tuple[float, float], ...]:
         """Atoms conditioned on being nonzero, probabilities renormalized."""
@@ -126,13 +119,3 @@ def _prior_moments(
         inside_tau += prob * atom_tau
     return e, abs_eta, inside, inside_chi, inside_tau
 
-
-def sample_on_support(p: Prior, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw `count` iid values from the prior conditioned on being nonzero."""
-    if count <= 0:
-        raise ValueError(f"count must be positive, got {count}")
-    nz = p.nonzero_atoms()
-    values = np.array([v for v, _ in nz])
-    probs = np.array([w for _, w in nz])
-    idx = rng.choice(len(values), size=count, p=probs)
-    return values[idx]

@@ -36,7 +36,7 @@ import numpy as np
 
 from .kernels import _check_positive
 from .predictor import ModelConfig
-from .prior import Prior, sample_on_support
+from .prior import Prior
 
 __all__ = [
     "Instance",
@@ -153,9 +153,10 @@ def generate_instance(
     """Draw one problem instance of size n under the additive-uncertainty model.
 
     The support has exactly round(kappa * n) entries placed uniformly; its
-    values are drawn from the prior conditioned on being nonzero.  A has iid
-    N(0, 1/n) entries; y is drawn from its law given A, H = gamma A + eps G with
-    G independent of A, as y = gamma A x0 + s xi, s^2 = sigma_z2 + eps^2 |x0|^2/n.
+    values are drawn iid from the prior conditioned on being nonzero
+    (ValueError when the prior has no nonzero atom).  A has iid N(0, 1/n)
+    entries; y is drawn from its law given A, H = gamma A + eps G with G
+    independent of A, as y = gamma A x0 + s xi, s^2 = sigma_z2 + eps^2 |x0|^2/n.
     A is written into `out` when given, which must be a writable C-contiguous
     float64 array of shape (m, n) (ValueError otherwise, before anything is
     drawn), and into a new array otherwise; the draws are the same either way.
@@ -172,8 +173,9 @@ def generate_instance(
     else:
         A = out
     support = np.sort(rng.choice(n, size=k, replace=False))
+    values, probs = zip(*p.nonzero_atoms())
     x0 = np.zeros(n)
-    x0[support] = sample_on_support(p, rng, k)
+    x0[support] = rng.choice(values, size=k, p=probs)
 
     # the same draws and products as rng.normal(0.0, 1.0 / sqrt(n), (m, n))
     rng.standard_normal(out=A)
@@ -403,14 +405,16 @@ def solve_lasso(
     the path to the pattern.  Iterations stop once the relative objective
     change falls below tol and the KKT residual is within the gate
     10*tol*lam, floored at 64 ulps of ||A^T y||_inf, below which the
-    residual is rounding; hitting max_iter with a larger residual flags the
-    result as non-converged (it is still returned).
+    residual is rounding; hitting max_iter (at least 1) with a larger
+    residual flags the result as non-converged (it is still returned).
     ||A||_F^2 must be finite and at least the smallest normal float: the
     gradient and |A d|^2 scale with it, and as subnormals they lose the bits
     the step test and the KKT residual need, so a wrong x could pass the gate.
     """
     _check_positive("lam", lam)
     _check_positive("tol", tol)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     m, n = A.shape
     if y.shape != (m,):
         raise ValueError(f"y has shape {y.shape}, expected ({m},)")
@@ -434,13 +438,10 @@ def solve_lasso(
     f_prev = 0.5 * float(y @ y)
     signs = np.zeros(n)
     stable = 0
-    kkt = math.inf
-    iters = 0
-    for k in range(1, max_iter + 1):
-        iters = k
+    for iters in range(1, max_iter + 1):
         grad = A.T @ (Aw - y)
         matvecs += 1
-        if k == 1:
+        if iters == 1:
             # the first gradient is -A^T y
             aty = -grad
             kkt_gate = max(kkt_gate, _KKT_FLOOR * float(np.abs(grad).max()))
@@ -496,11 +497,10 @@ def solve_lasso(
                 return LassoResult(x_hat=polished[0], iters=iters, kkt_residual=polished[1],
                                    converged=True, lipschitz=L, matvecs=matvecs,
                                    exact_solves=exact_solves, polished=True)
-    if not math.isfinite(kkt) or iters == max_iter:
+    if iters == max_iter:
         kkt = _kkt_residual(A.T @ (Ax - y), x, lam)
         matvecs += 1
-    converged = iters < max_iter or kkt <= kkt_gate
-    return LassoResult(x_hat=x, iters=iters, kkt_residual=kkt, converged=converged,
+    return LassoResult(x_hat=x, iters=iters, kkt_residual=kkt, converged=kkt <= kkt_gate,
                        lipschitz=L, matvecs=matvecs, exact_solves=exact_solves,
                        polished=False)
 

@@ -6,11 +6,13 @@ mass is far below the tolerances in play.  The nested golden-section saddle
 search minimizes over tau the maximum over beta of a given objective, by
 derivative-free bracket searches, as a reference for the gradient-root
 saddle solver, and bisection on a central difference locates a 1-D
-minimiser as a reference for Brent's minimiser.  The coordinate-descent
-solver is a reference implementation for checking the production LASSO
-solver, and the two-matrix sampler draws instances from the model's
-defining equations as a reference for the simulator's conditional draw;
-none shares code with the package paths they validate.
+minimiser as a reference for Brent's minimiser.  The state-evolution
+residuals restate the saddle as the fixed point of the matched LASSO's state
+evolution, by quadrature alone, as a reference for the whole saddle solver.
+The coordinate-descent solver is a reference implementation for checking the
+production LASSO solver, and the two-matrix sampler draws instances from the
+model's defining equations as a reference for the simulator's conditional
+draw; none shares code with the package paths they validate.
 """
 
 from __future__ import annotations
@@ -91,6 +93,53 @@ def oracle_expect_abs_eta(mu: float, tau: float, chi: float, tol: float = 1e-11)
 def oracle_prob_inside(mu: float, tau: float, chi: float, tol: float = 1e-11) -> float:
     """Quadrature value of P(|mu + tau*H| <= chi): phi integrated over the dead zone."""
     return adaptive_simpson(_phi, (-chi - mu) / tau, (chi - mu) / tau, tol)
+
+
+def _clipped_simpson(f, a: float, b: float, tol: float) -> float:
+    """Adaptive Simpson of f over [a, b] cut to [-12, 12]; 0 when that is empty."""
+    a, b = max(a, -12.0), min(b, 12.0)
+    return adaptive_simpson(f, a, b, tol) if a < b else 0.0
+
+
+def state_evolution(cfg, atoms, tau: float, beta: float,
+                    tol: float = 1e-12) -> tuple[float, float, float]:
+    """Scaled residuals of the state evolution at (tau, beta), and the MSE.
+
+    With a = gamma X + tau Z, chi = 2 lam tau / beta and s^2 = sigma_z^2 +
+    eps^2 E[X^2], the saddle is the Bayati-Montanari fixed point of a LASSO
+    with signal gamma X and noise variance s^2:
+        (SE1) delta tau^2 = s^2 + E[(eta(a; chi) - gamma X)^2],
+        (SE2) lam / chi = delta - P(|a| > chi).
+    Returns (SE1's right side over its left side, less 1; SE2's difference
+    over delta; E[(eta(a; chi) - X)^2]).  Each expectation sums over the
+    (value, probability) atoms quadratures over Z, split where |a| = chi so
+    that each piece is smooth, each to absolute tolerance tol times its scale.
+    """
+    gamma = math.sqrt(1.0 - cfg.eps2)
+    chi = 2.0 * cfg.lam * tau / beta
+    ex2 = shrink_err = mse = outside = 0.0
+    for v, w in atoms:
+        mu = gamma * v
+        lo, hi = (-chi - mu) / tau, (chi - mu) / tau  # |a| <= chi for Z in [lo, hi]
+        inside = _clipped_simpson(_phi, lo, hi, tol)
+        outside += w * (_clipped_simpson(_phi, -12.0, lo, tol)
+                        + _clipped_simpson(_phi, hi, 12.0, tol))
+
+        def err2(target: float) -> float:
+            # E[(eta(a; chi) - target)^2]: eta is 0 inside, a -+ chi outside
+            t = tol * (tau * tau + target * target)
+            return (target * target * inside
+                    + _clipped_simpson(lambda h: (mu + tau * h + chi - target) ** 2 * _phi(h),
+                                       -12.0, lo, t)
+                    + _clipped_simpson(lambda h: (mu + tau * h - chi - target) ** 2 * _phi(h),
+                                       hi, 12.0, t))
+
+        ex2 += w * v * v
+        shrink_err += w * err2(mu)
+        mse += w * err2(v)
+    se1 = (cfg.sigma_z2 + cfg.eps2 * ex2 + shrink_err) / (cfg.delta * tau * tau) - 1.0
+    se2 = (cfg.lam / chi - cfg.delta + outside) / cfg.delta
+    return se1, se2, mse
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

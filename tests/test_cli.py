@@ -230,6 +230,7 @@ class TestRunSweep:
         ("lambda_grid", (0.5, math.nan, 0.3)), ("lambda_grid", (math.inf,)),
         ("trials", 0), ("n", 4), ("seed", -1),
         ("delta", -1.0), ("kappa", 1.5), ("eps2", 1.5), ("sigma_z2", -0.2),
+        ("mode", "bogus"),
     ])
     def test_spec_rejects_out_of_range(self, field, value):
         good = dict(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lambda_grid=(0.5, 1.0),

@@ -1,9 +1,14 @@
 """Predictor tests: objective identity checks, the closed-form gradient and the
 root slopes against central differences, saddle certificates against brute-force grids and the
-nested golden-section oracle, and the exact perfect-knowledge reduction."""
+nested golden-section oracle, the exact perfect-knowledge reduction, and the saddle as the
+state-evolution fixed point of the matched LASSO."""
 
+import ast
 import math
 import random
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from lasso_mismatch.kernels import q_function
 from lasso_mismatch.predictor import (
     BRACKET_CAP,
     ROOT_MAX_EVALS,
+    ROOT_REL_TOL,
     SADDLE_TOL,
     ModelConfig,
     NonConvergenceError,
@@ -26,7 +32,7 @@ from lasso_mismatch.predictor import (
     solve_scalar,
 )
 from lasso_mismatch.prior import Prior, _prior_moments, prior_expect_e, sparse_bernoulli
-from oracles import derivative_root, golden_saddle, oracle_expect_e
+from oracles import derivative_root, golden_saddle, oracle_expect_e, state_evolution
 
 # frozen independent evaluation of the objective at tau=1, beta=1
 # (delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=1; quadrature expectations)
@@ -43,6 +49,21 @@ HEAVY_CFG = ModelConfig.from_snr(delta=2.0, kappa=0.1, eps2=0.5, snr=0.5, lam=1.
 GRID = tuple(round(0.001 + 0.1 * i, 3) for i in range(60))
 ATOMS_CFG = ModelConfig(delta=0.9, kappa=0.2, eps2=0.1, sigma_z2=0.15, lam=0.4)
 ATOMS_PRIOR = Prior(atoms=((-1.5, 0.08), (0.0, 0.8), (0.5, 0.12)))
+
+
+def test_theory_modules_import_only_the_standard_library():
+    # the theory is float arithmetic: numpy is the simulator's alone
+    for name in ("kernels", "prior", "predictor"):
+        source = Path(predictor.__file__).with_name(f"{name}.py").read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = {node.module.split(".")[0]}
+            else:
+                continue
+            outside = roots - set(sys.stdlib_module_names) - {"lasso_mismatch"}
+            assert not outside, (name, node.lineno, outside)
 
 
 class TestModelConfig:
@@ -381,7 +402,7 @@ class TestSolveScalar:
                 p = Prior(atoms=tuple(zip(values, probs + [1.0 - sum(probs)])))
             cfg = ModelConfig(
                 delta=math.exp(rng.uniform(math.log(0.05), math.log(10.0))),
-                kappa=1.0 - p.zero_mass(),
+                kappa=1.0 - dict(p.atoms).get(0.0, 0.0),
                 eps2=rng.uniform(0.0, 0.999),
                 sigma_z2=math.exp(rng.uniform(math.log(1e-6), math.log(100.0))),
                 lam=math.exp(rng.uniform(math.log(1e-6), math.log(1e5))),
@@ -406,6 +427,31 @@ class TestSolveScalar:
         beta, _, _ = maximize_over_beta(tau, cfg, p)
         assert abs(beta - bound) <= 1e-12 * bound
         solve_scalar(cfg, p)
+
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.5, 0.8, 0.99])
+    @pytest.mark.parametrize("lam", [1e-10, 1e-11, 1e-12])
+    def test_certified_at_small_lambda_below_delta_one(self, lam, delta):
+        # at delta < 1, beta* tends to a multiple of lam as lam -> 0 (7.69 lam
+        # on the reference configuration), so the beta search's floor has to
+        # scale with lam too: it is at most lam sqrt(8 delta / 3) / 2 here
+        for cfg, p in ((REF_CFG, REF_PRIOR), (ATOMS_CFG, ATOMS_PRIOR)):
+            cfg = replace(cfg, delta=delta, lam=lam)
+            sol = solve_scalar(cfg, p)
+            assert max(sol.residual) <= SADDLE_TOL * sol.objective, cfg
+            assert sol.beta_star >= lam * math.sqrt(8.0 * delta / 3.0), cfg
+
+    def test_bouncing_beta_search_bisects(self):
+        # at tau = 1.2724 the beta root's Newton points alternate between
+        # 0.0455 and 0.2541, one on each side of the root, without closing in;
+        # the search bisects instead
+        cfg = ModelConfig(delta=0.10047581288203111, kappa=0.16266991209735537,
+                          eps2=0.3432187709147611, sigma_z2=1.0292942236563901e-06,
+                          lam=0.10680676051654898)
+        p = sparse_bernoulli(cfg.kappa)
+        beta, _, evals = maximize_over_beta(1.2724016562887044, cfg, p)
+        assert evals <= 20 and 0.0455 < beta < 0.2541
+        sol = solve_scalar(cfg, p)
+        assert max(sol.residual) <= SADDLE_TOL * sol.objective
 
     @pytest.mark.parametrize(
         "cfg,p",
@@ -502,7 +548,9 @@ class TestPredictions:
                 return -d_beta, slope_beta
 
             hi = tau * cfg.delta + (cfg.sigma_z2 + p.second_moment()) / tau
-            lo = max(0.5 * (tau * (cfg.delta - 1.0) + cfg.sigma_z2 / tau), 1e-9 * hi)
+            lo = 0.5 * max(tau * (cfg.delta - 1.0) + cfg.sigma_z2 / tau,
+                           min(cfg.lam * math.sqrt(8.0 * cfg.delta / 3.0),
+                               0.5 * tau * cfg.delta + cfg.sigma_z2 / tau))
             last["beta"], _ = bracketed_root(f, lo, hi, "beta", start=last["beta"])
             return last["d_tau"], last["slope"]
 
@@ -566,6 +614,60 @@ class TestPredictions:
         assert 0.0 <= rep.phi_on <= 1.0
         assert 0.0 <= rep.phi_off <= 1.0
         assert rep.xi == 1e-3
+
+
+def _random_case(rng, log_lam_range):
+    """A sparse Bernoulli or a 3-4 atom prior, and a config drawn across the range."""
+    if rng.random() < 0.5:
+        p = sparse_bernoulli(rng.uniform(0.01, 0.9))
+    else:
+        values = sorted({round(rng.uniform(-3.0, 3.0), 3) for _ in range(3)} | {0.0})
+        weights = [rng.uniform(0.05, 1.0) for _ in values]
+        probs = [w / sum(weights) for w in weights[:-1]]
+        p = Prior(atoms=tuple(zip(values, probs + [1.0 - sum(probs)])))
+    cfg = ModelConfig(
+        delta=math.exp(rng.uniform(math.log(0.05), math.log(10.0))),
+        kappa=1.0 - dict(p.atoms).get(0.0, 0.0),
+        eps2=rng.uniform(0.0, 0.999),
+        sigma_z2=math.exp(rng.uniform(math.log(1e-6), math.log(100.0))),
+        lam=math.exp(rng.uniform(*log_lam_range)),
+    )
+    return cfg, p
+
+
+class TestStateEvolution:
+    """The saddle against the matched LASSO's state evolution (Bayati-Montanari).
+
+    Both tests draw delta in [0.05, 10], eps^2 in [0, 0.999), sigma_z^2 in
+    [1e-6, 100] and lambda in [1e-12, 1e5] (log-uniform but eps^2), with
+    sparse Bernoulli and multi-atom priors.
+    """
+
+    LOG_LAM = (math.log(1e-12), math.log(1e5))
+
+    def test_fixed_point_by_quadrature(self):
+        # SE1, SE2 and the MSE from quadrature alone; observed residuals are
+        # near 3e-11 with the oracle's 1e-12 tolerance
+        rng = random.Random(21)
+        for _ in range(24):
+            cfg, p = _random_case(rng, self.LOG_LAM)
+            sol = solve_scalar(cfg, p)
+            se1, se2, mse = state_evolution(cfg, p.atoms, sol.tau_star, sol.beta_star)
+            assert abs(se1) <= SADDLE_TOL and abs(se2) <= SADDLE_TOL, (cfg, p, se1, se2)
+            assert abs(predict_mse(sol, cfg, p) - mse) <= SADDLE_TOL * mse, (cfg, p)
+
+    def test_matched_reduction(self):
+        # (delta, eps^2, sigma_z^2, atoms v) has the saddle of (delta, 0, s^2,
+        # atoms gamma v), s^2 = sigma_z^2 + eps^2 E[X^2]: D is the same function.
+        # Each search stops within ROOT_REL_TOL, and tau0 rounds differently.
+        rng = random.Random(22)
+        for _ in range(200):
+            cfg, p = _random_case(rng, self.LOG_LAM)
+            matched = replace(cfg, eps2=0.0, sigma_z2=cfg.sigma_z2 + cfg.eps2 * p.second_moment())
+            q = Prior(atoms=tuple((cfg.gamma * v, w) for v, w in p.atoms))
+            sol, ref = solve_scalar(cfg, p), solve_scalar(matched, q)
+            assert abs(sol.tau_star - ref.tau_star) <= 2 * ROOT_REL_TOL * ref.tau_star, cfg
+            assert abs(sol.beta_star - ref.beta_star) <= 2 * ROOT_REL_TOL * ref.beta_star, cfg
 
 
 class TestOptimalLambda:

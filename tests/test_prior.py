@@ -1,4 +1,5 @@
-"""Prior construction, expectation linearity, and conditional sampling."""
+"""Prior construction, expectation linearity, and the simulator's draw of
+support values from the prior conditioned on being nonzero."""
 
 import math
 
@@ -10,9 +11,10 @@ from lasso_mismatch.prior import (
     _prior_moments,
     prior_expect_e,
     prior_expect_eta_x0,
-    sample_on_support,
     sparse_bernoulli,
 )
+from lasso_mismatch.predictor import ModelConfig
+from lasso_mismatch.simulator import generate_instance
 from oracles import oracle_expect_abs_eta, oracle_expect_e, oracle_expect_eta, oracle_prob_inside
 
 # frozen oracle values (adaptive Simpson, tol 1e-11)
@@ -49,7 +51,6 @@ class TestConstruction:
     def test_moments(self):
         p = sparse_bernoulli(0.1)
         assert p.second_moment() == pytest.approx(0.1, abs=1e-15)
-        assert p.zero_mass() == pytest.approx(0.9, abs=1e-15)
         assert p.nonzero_atoms() == ((1.0, 1.0),)
 
 
@@ -120,17 +121,26 @@ class TestExpectations:
             prior_expect_eta_x0(p, 1.0, 1.0, 0.0)
 
 
+def support_draws(p, count, seed):
+    """`count` support values of one instance with n = 2 count and m = 1.
+
+    delta = 1/n gives one measurement row, so the draw costs a 1 x n matrix.
+    """
+    n = 2 * count
+    cfg = ModelConfig(delta=1.0 / n, kappa=0.5, eps2=0.1, sigma_z2=0.2, lam=1.0)
+    inst = generate_instance(cfg, p, n, np.random.default_rng(seed))
+    assert inst.A.shape == (1, n) and inst.support.size == count
+    return inst.x0[inst.support]
+
+
 class TestSampling:
     def test_single_nonzero_atom(self):
-        p = sparse_bernoulli(0.1)
-        rng = np.random.default_rng(0)
-        draws = sample_on_support(p, rng, 5)
+        draws = support_draws(sparse_bernoulli(0.1), 5, 0)
         assert np.array_equal(draws, np.ones(5))
 
     def test_symmetric_two_point(self):
         p = Prior(atoms=((-1.0, 0.05), (0.0, 0.9), (1.0, 0.05)))
-        rng = np.random.default_rng(7)
-        draws = sample_on_support(p, rng, 100_000)
+        draws = support_draws(p, 100_000, 7)
         assert set(np.unique(draws)) == {-1.0, 1.0}
         # each renormalized weight is 1/2; 4 standard errors of a fair coin
         frac_plus = np.mean(draws == 1.0)
@@ -140,24 +150,18 @@ class TestSampling:
 
     def test_deterministic_for_fixed_seed(self):
         p = Prior(atoms=((-1.0, 0.2), (0.0, 0.5), (2.0, 0.3)))
-        a = sample_on_support(p, np.random.default_rng(123), 1000)
-        b = sample_on_support(p, np.random.default_rng(123), 1000)
+        a = support_draws(p, 1000, 123)
+        b = support_draws(p, 1000, 123)
         assert np.array_equal(a, b)
 
     def test_empirical_frequencies_match_renormalized(self):
         p = Prior(atoms=((-1.0, 0.1), (0.0, 0.6), (0.5, 0.3)))
-        rng = np.random.default_rng(11)
-        draws = sample_on_support(p, rng, 100_000)
+        draws = support_draws(p, 100_000, 11)
         for value, weight in p.nonzero_atoms():
             frac = np.mean(draws == value)
             se = math.sqrt(weight * (1 - weight) / draws.size)
             assert abs(frac - weight) <= 4 * se
 
     def test_all_mass_at_zero_errors(self):
-        p = Prior(atoms=((0.0, 1.0),))
-        with pytest.raises(ValueError):
-            sample_on_support(p, np.random.default_rng(0), 3)
-
-    def test_bad_count(self):
-        with pytest.raises(ValueError):
-            sample_on_support(sparse_bernoulli(0.2), np.random.default_rng(0), 0)
+        with pytest.raises(ValueError, match="no nonzero atoms"):
+            support_draws(Prior(atoms=((0.0, 1.0),)), 4, 0)

@@ -17,7 +17,7 @@ import pytest
 
 from lasso_mismatch import cli, simulator
 from lasso_mismatch.predictor import ModelConfig, predict_mse, solve_scalar
-from lasso_mismatch.prior import sample_on_support, sparse_bernoulli
+from lasso_mismatch.prior import sparse_bernoulli
 from lasso_mismatch.simulator import (
     Instance,
     empirical_metrics,
@@ -75,12 +75,14 @@ class TestGenerateInstance:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_out_matches_normal_recipe(self, n, seed):
         # A filled in place equals, bit for bit, the rng.normal draw it
-        # replaced, and so do the draws after it
+        # replaced, and so do the draws after it; the support values equal
+        # those of a draw of atom indices
         rng = np.random.default_rng(seed)
         m, k = round_count(CFG.delta * n), round_count(CFG.kappa * n)
         support = np.sort(rng.choice(n, size=k, replace=False))
         x0 = np.zeros(n)
-        x0[support] = sample_on_support(PRIOR, rng, k)
+        values, probs = zip(*PRIOR.nonzero_atoms())
+        x0[support] = np.array(values)[rng.choice(len(values), size=k, p=probs)]
         A = rng.normal(0.0, 1.0 / math.sqrt(n), size=(m, n))
         s = math.sqrt(CFG.sigma_z2 + CFG.eps2 * float(x0 @ x0) / n)
         y = CFG.gamma * (A @ x0) + rng.normal(0.0, s, size=m)
@@ -220,6 +222,9 @@ class TestSolveLasso:
         for tol in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="tol"):
                 solve_lasso(np.eye(4), np.ones(4), 1.0, tol=tol)
+        for max_iter in (0, -1):
+            with pytest.raises(ValueError, match="max_iter must be at least 1"):
+                solve_lasso(np.eye(4), np.ones(4), 1.0, max_iter=max_iter)
 
     def test_scale_of_A_within_the_normal_range(self):
         # the solution of the scaled problem (s A, s y, s^2 lam) is the same x
