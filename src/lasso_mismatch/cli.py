@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .kernels import _check_positive
 from .predictor import ModelConfig, predict_report
 from .prior import sparse_bernoulli
-from .simulator import _check_run, run_grid
 
 __all__ = [
     "SweepSpec",
@@ -142,6 +141,9 @@ class SweepSpec:
             base = ModelConfig(delta=self.delta, kappa=self.kappa, eps2=self.eps2,
                                sigma_z2=self.sigma_z2, lam=self.lambda_grid[0])
             if simulate:
+                # imported here, as in run_sweep: the simulator loads numpy
+                from .simulator import _check_run
+
                 _check_run(base, self.n, self.trials, self.seed)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
@@ -268,6 +270,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         columns["phi_on_theory"] = array("d", [pred.phi_on for pred in predictions])
         columns["phi_off_theory"] = array("d", [pred.phi_off for pred in predictions])
     if spec.mode in ("simulate", "both"):
+        # imported here, so a theory sweep never loads the simulator or numpy
+        from .simulator import run_grid
+
         try:
             # instances do not depend on lambda: any cell's cfg describes them
             reports = run_grid(base, prior, spec.n, spec.trials, spec.xi, spec.seed, grid)

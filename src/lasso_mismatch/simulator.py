@@ -13,8 +13,14 @@ one per failed test, and once the sign pattern of the iterate settles it
 tries the exact solution on that pattern, returned only if it passes the
 KKT gate.  When that solve is rejected, a bounded feature-sign active-set
 search (Lee, Battle, Raina & Ng 2007) corrects the pattern from the iterate,
-and the exact solution on the corrected pattern faces the same gate; FISTA
-goes on only when both fail.
+starting from the Gram matrix of the rejected solve, and the exact solution
+on the corrected pattern faces the same gate; FISTA goes on only when both
+fail.  The iterations that find the pattern run their products on a float32
+copy of A, and hand over to float64 ones when float32 can take them no
+further; the exact solves, the search and the gate use A in float64, so the
+returned x is the same as with float64 iterations whenever both reach its
+pattern (mixed-precision iterative refinement: Higham 2002, ch. 12; Carson
+& Higham 2018).
 
 The Monte Carlo loop runs over trials first, then over lambda: instances do
 not depend on lambda, so each trial draws its instance once, from a
@@ -76,7 +82,10 @@ class LassoResult:
     products.  `exact_solves` counts the dense factorizations: each solve of
     an exact-solve attempt and the inverse each search starts from.
     `polished` is True when the solve ended in the exact solve on a sign
-    pattern.
+    pattern.  `float32_iters` counts the iterations whose products ran on
+    the float32 copy of A (the first gradient excepted): all of them unless
+    the solve handed over to float64, and none when A and y lie outside
+    float32's range.
     """
 
     x_hat: np.ndarray
@@ -87,6 +96,7 @@ class LassoResult:
     matvecs: int
     exact_solves: int
     polished: bool
+    float32_iters: int
 
 
 @dataclass(frozen=True)
@@ -204,10 +214,23 @@ _STEP_FLOOR = 1e-12
 _KKT_FLOOR = 64.0 * np.finfo(float).eps
 # smallest normal float: a smaller ||A||_F^2 makes the gradient subnormal
 _NORMAL_MIN = float(np.finfo(float).tiny)
+# float32's machine epsilon: sqrt(n) of it is the step floor of float32 products
+_EPS32 = float(np.finfo(np.float32).eps)
+# square roots of float32's normal range: a product of two numbers within
+# them is a normal float32
+_F32_LO = math.sqrt(float(np.finfo(np.float32).tiny))
+_F32_HI = math.sqrt(float(np.finfo(np.float32).max))
 
 
-def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
-            kkt_gate: float) -> tuple[tuple[np.ndarray, float] | None, int, int]:
+def _restrict(A: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns A_S of A on `support` and their Gram matrix A_S^T A_S."""
+    A_s = A[:, support]
+    return A_s, A_s.T @ A_s
+
+
+def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray, kkt_gate: float,
+            restricted: tuple[np.ndarray, np.ndarray] | None = None,
+            ) -> tuple[tuple[np.ndarray, float] | None, int, int]:
     """Exact LASSO solution for the sign pattern `signs`, if it is the optimum.
 
     Solves the normal equations A_S^T A_S x_S = A_S^T y - lam s_S on the
@@ -217,15 +240,16 @@ def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
     with the right signs that misses the gate gets one step of iterative
     refinement first: on S the KKT residual is the residual of the normal
     equations, so the step costs one more solve.  The candidate depends
-    only on (A, y, lam, signs), not on how the pattern was found.  The
-    second value counts the products with A, A^T or A_S taken, the Gram
-    matrix as one, and the third the dense solves.
+    only on (A, y, lam, signs), not on how the pattern was found.
+    `restricted` is `_restrict(A, support of signs)` when the caller has
+    formed it.  The second value counts the products with A, A^T or A_S
+    taken, the Gram matrix as one when it is formed here, and the third the
+    dense solves.
     """
     support = np.flatnonzero(signs)
     s = signs[support]
-    A_s = A[:, support]
-    gram = A_s.T @ A_s
-    products = 2
+    products = 1 + (restricted is None)
+    A_s, gram = _restrict(A, support) if restricted is None else restricted
     solves = 1
     x = np.zeros(A.shape[1])
     try:
@@ -254,8 +278,8 @@ _PIVOT_FLOOR = 1e-10
 
 
 def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
-                  r: np.ndarray, aty: np.ndarray,
-                  kkt_gate: float) -> tuple[np.ndarray | None, int, int]:
+                  r: np.ndarray, aty: np.ndarray, kkt_gate: float,
+                  gram: np.ndarray | None = None) -> tuple[np.ndarray | None, int, int]:
     """Sign pattern of the LASSO optimum by feature-sign search from x, or None.
 
     The active-set search of Lee, Battle, Raina & Ng (2007) started from
@@ -271,10 +295,12 @@ def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
     `_SEARCH_STEPS` steps pass.  It keeps one inverse of A_S^T A_S and
     changes it by bordering (add) and Schur complements (drop), so a step
     costs O(|S|^2) plus two or three full-length products.  Only the
-    pattern leaves: `_polish` solves and certifies it afresh.  The second
-    value counts the products with A, A^T or A_S taken, the Gram matrix as
-    one, and the third the dense factorizations (the inverse of A_S^T A_S
-    when S starts nonempty, taken once the copy A_S is freed).
+    pattern leaves: `_polish` solves and certifies it afresh.  `gram` is
+    A_S^T A_S on the support of x when the caller has formed it.  The
+    second value counts the products with A, A^T or A_S taken, the Gram
+    matrix as one when it is formed here, and the third the dense
+    factorizations (the inverse of A_S^T A_S when S starts nonempty, taken
+    once the copy A_S is freed).
     """
     m, n = A.shape
     support = np.flatnonzero(x)
@@ -286,10 +312,11 @@ def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
     theta = np.empty(cap)
     theta[:k] = np.sign(x[support])
     inv = np.empty((cap, cap))
-    products = solves = int(k > 0)
+    solves = int(k > 0)
+    products = int(k > 0 and gram is None)
     if k:
-        gram = A[:, support]
-        gram = gram.T @ gram
+        if gram is None:
+            gram = _restrict(A, support)[1]
         try:
             inv[:k, :k] = np.linalg.inv(gram)
         except np.linalg.LinAlgError:
@@ -410,6 +437,34 @@ def solve_lasso(
     ||A||_F^2 must be finite and at least the smallest normal float: the
     gradient and |A d|^2 scale with it, and as subnormals they lose the bits
     the step test and the KKT residual need, so a wrong x could pass the gate.
+
+    Mixed precision: float32 finds the pattern, float64 certifies it.
+    Since the returned x depends only on its pattern and passes a float64
+    gate, the iterations that find the pattern run their products (after
+    the first gradient, which gives A^T y and the gate's floor) on a
+    float32 copy of A, which moves half the bytes of A: the vector is cast
+    to float32 and the product back to float64, and the carried vectors
+    stay float64.  The copy is freed while the exact solve and the search
+    run, and made again if FISTA goes on.  Those two, and every KKT
+    residual, use A in float64, on r = A x - y formed afresh from A (at
+    x = 0, r = -y exactly, so it is not).  A d then carries the rounding of
+    up to four float32 products (A x_new, and A w = (1 + c) A x_new - c A x
+    with 0 <= c < 1).  For independent roundings a product of length n is
+    off by about sqrt(n) u relative to its terms (Higham & Mary 2019), and
+    four such errors add to 2 sqrt(n) u = sqrt(n) eps, with eps float32's
+    machine epsilon: that is the step floor while the products run in
+    float32.  FISTA goes on in float64 from the same iterate and momentum,
+    with A x and A w formed again from A, at the first of
+      - an accepted step below that floor: float32 products cannot resolve
+        a smaller one, so further float32 iterations only wander within
+        rounding of the optimum of the float32 problem;
+      - a small objective change whose float64 KKT residual misses the
+        gate: the float32 iterate has stopped short of a certified one.
+    Neither rule has a constant of its own, and a pattern found before
+    either fires is certified as any other.  The float32 phase is skipped
+    when ||A||_F, ||y|| or their ratio (the scale of x) lies outside the
+    square roots of float32's normal range: within them, A's entries, the
+    iterates and their products stay normal float32 numbers.
     """
     _check_positive("lam", lam)
     _check_positive("tol", tol)
@@ -438,8 +493,19 @@ def solve_lasso(
     f_prev = 0.5 * float(y @ y)
     signs = np.zeros(n)
     stable = 0
+    norm_a, norm_y = math.sqrt(L_max), math.sqrt(2.0 * f_prev)
+    in_float32 = all(_F32_LO <= v <= _F32_HI for v in (norm_a, norm_y, norm_y / norm_a))
+    floor = math.sqrt(n) * _EPS32 if in_float32 else _STEP_FLOOR
+    A32 = None
+    float32_iters = 0
     for iters in range(1, max_iter + 1):
-        grad = A.T @ (Aw - y)
+        float32_iters += in_float32
+        if in_float32 and A32 is None:
+            A32 = A.astype(np.float32)
+        if not in_float32 or iters == 1:
+            grad = A.T @ (Aw - y)
+        else:
+            grad = (A32.T @ (Aw - y).astype(np.float32)).astype(np.float64)
         matvecs += 1
         if iters == 1:
             # the first gradient is -A^T y
@@ -449,7 +515,10 @@ def solve_lasso(
         while True:
             step = w - grad / L
             x_new = np.sign(step) * np.maximum(np.abs(step) - lam / L, 0.0)
-            Ax_new = A @ x_new
+            if not in_float32:
+                Ax_new = A @ x_new
+            else:
+                Ax_new = (A32 @ x_new.astype(np.float32)).astype(np.float64)
             matvecs += 1
             # sufficient decrease f(x_new) <= f(w) + grad.d + (L/2)|d|^2 of the
             # quadratic part f, which is exactly |A d|^2 <= L |d|^2.  A d is a
@@ -458,8 +527,9 @@ def solve_lasso(
             # keep doubling L once the iterates settle.
             d = x_new - w
             Ad = Ax_new - Aw
-            dd = max(float(d @ d), _STEP_FLOOR**2 * float(x_new @ x_new))
-            if float(Ad @ Ad) <= L * dd or L >= L_max:
+            dd = float(d @ d)
+            dd_floor = floor**2 * float(x_new @ x_new)
+            if float(Ad @ Ad) <= L * max(dd, dd_floor) or L >= L_max:
                 break
             L = min(2.0 * L, L_max)
         dx = x_new - x
@@ -476,17 +546,33 @@ def solve_lasso(
         signs_new = np.sign(x_new)
         stable = 0 if (signs_new != signs).any() else stable + 1
         x, Ax, t, f_prev, signs = x_new, Ax_new, t_new, f, signs_new
+        # r is exact in float64 unless float32 products formed A x
+        exact_r = not in_float32 or not signs.any()
+        hand_over = in_float32 and dd < dd_floor
         if small_change:
+            if not exact_r:
+                r, exact_r = A @ x - y, True
+                matvecs += 1
             kkt = _kkt_residual(A.T @ r, x, lam)
             matvecs += 1
             if kkt <= kkt_gate:
                 break
+            hand_over = in_float32
         if stable == _POLISH_AFTER and np.count_nonzero(signs) <= m:
-            polished, products, solves = _polish(A, y, lam, signs, kkt_gate)
+            # the finisher works on A: free the float32 copy for its arrays
+            A32 = None
+            A_s, gram = _restrict(A, np.flatnonzero(signs))
+            matvecs += 1
+            polished, products, solves = _polish(A, y, lam, signs, kkt_gate, (A_s, gram))
+            # the search starts from the same support but needs only the Gram matrix
+            del A_s
             matvecs += products
             exact_solves += solves
             if polished is None:
-                pattern, products, solves = _feature_sign(A, y, lam, x, r, aty, kkt_gate)
+                if not exact_r:
+                    r, exact_r = A @ x - y, True
+                    matvecs += 1
+                pattern, products, solves = _feature_sign(A, y, lam, x, r, aty, kkt_gate, gram)
                 matvecs += products
                 exact_solves += solves
                 if pattern is not None and not np.array_equal(pattern, signs):
@@ -496,13 +582,22 @@ def solve_lasso(
             if polished is not None:
                 return LassoResult(x_hat=polished[0], iters=iters, kkt_residual=polished[1],
                                    converged=True, lipschitz=L, matvecs=matvecs,
-                                   exact_solves=exact_solves, polished=True)
+                                   exact_solves=exact_solves, polished=True,
+                                   float32_iters=float32_iters)
+        if hand_over:
+            in_float32, A32 = False, None
+            floor = _STEP_FLOOR
+            Ax, Aw = A @ x, A @ w
+            matvecs += 2
     if iters == max_iter:
+        if in_float32 and signs.any():
+            Ax = A @ x
+            matvecs += 1
         kkt = _kkt_residual(A.T @ (Ax - y), x, lam)
         matvecs += 1
     return LassoResult(x_hat=x, iters=iters, kkt_residual=kkt, converged=kkt <= kkt_gate,
                        lipschitz=L, matvecs=matvecs, exact_solves=exact_solves,
-                       polished=False)
+                       polished=False, float32_iters=float32_iters)
 
 
 def empirical_metrics(x_hat: np.ndarray, inst: Instance,

@@ -3,10 +3,13 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from lasso_mismatch import cli
+from lasso_mismatch import cli, simulator
 from lasso_mismatch.cli import (
     CSV_COLUMNS,
     ComputationError,
@@ -204,12 +207,11 @@ class TestRunSweep:
             run_sweep(spec)
 
     def test_simulation_failure_names_grid(self, monkeypatch):
-        import lasso_mismatch.cli as cli_mod
-
+        # run_sweep imports run_grid from the simulator when it runs
         def boom(*args, **kwargs):
             raise ValueError("synthetic failure")
 
-        monkeypatch.setattr(cli_mod, "run_grid", boom)
+        monkeypatch.setattr(simulator, "run_grid", boom)
         spec = parse_args(
             "--delta 0.8 --kappa 0.1 --eps2 0.1 --snr 0.5 --lambda-list 0.5,1.201 "
             "--mode simulate --n 32 --trials 2".split()
@@ -238,6 +240,20 @@ class TestRunSweep:
         SweepSpec(**good)
         with pytest.raises(UsageError, match=field.split("_")[-1]):
             SweepSpec(**{**good, field: value})
+
+
+class TestImports:
+    def test_theory_run_loads_no_numpy(self, tmp_path):
+        # the simulator, the only numpy user, is imported on the simulate path
+        out = tmp_path / "fig1.csv"
+        code = ("import sys, lasso_mismatch.cli as cli; "
+                f"code = cli.main(['--reproduce-fig', '1', '--mode', 'theory', '--out', {str(out)!r}]); "
+                "print(code, 'numpy' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert done.stdout.strip() == "0 False"
+        assert out.read_text().count("\n") == 61
 
 
 class TestMainExitCodes:
@@ -353,7 +369,7 @@ class TestMainExitCodes:
         def fail(*args):
             raise MemoryError("Unable to allocate 56.8 PiB")
 
-        monkeypatch.setattr(cli, "run_grid", fail)
+        monkeypatch.setattr(simulator, "run_grid", fail)
         assert main(self.SIMULATE.split()) == 2
         err = capsys.readouterr().err
         assert err == "computation error: lambda=0.5..0.5: Unable to allocate 56.8 PiB\n"

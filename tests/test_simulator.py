@@ -28,6 +28,7 @@ from lasso_mismatch.simulator import (
     solve_lasso,
 )
 from oracles import cd_lasso, two_matrix_instance
+from stress_lasso import problem as stress_problem
 
 CFG = ModelConfig(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=1.201)
 PRIOR = sparse_bernoulli(0.1)
@@ -657,6 +658,107 @@ class TestPolish:
         assert res.kkt_residual <= 64 * np.finfo(float).eps * aty
 
 
+class TestFloat32Phase:
+    FIG2 = ModelConfig(delta=0.8, kappa=0.1, eps2=0.2, sigma_z2=0.2, lam=0.01)
+    # an exact power of two that takes ||A||_F and ||y|| past float32's
+    # range: the scaled problem runs in float64 throughout, with the same
+    # arithmetic bit for bit, so its x is the float64 solver's answer
+    SCALE = 2.0**100
+
+    def _instance(self, n):
+        return generate_instance(self.FIG2, PRIOR, n, simulator._trial_rng(0, 0))
+
+    def _float64(self, A, y, lam, **kwargs):
+        s = self.SCALE
+        res = solve_lasso(s * A, s * y, s * s * lam, **kwargs)
+        assert res.float32_iters == 0
+        return res
+
+    @pytest.mark.parametrize("n, lam", [(256, 0.01), (256, 0.41), (256, 2.81), (1024, 0.41)])
+    def test_float32_pattern_gives_the_float64_answer(self, n, lam):
+        # fig-2 cells: the float32 iterations find the pattern without a
+        # hand-over, and the certified x is the exact solve on that pattern,
+        # bit for bit the x of float64 iterations (at lam = 2.81, above
+        # lam_max, it is the zero start)
+        inst = self._instance(n)
+        res = solve_lasso(inst.A, inst.y, lam)
+        assert res.converged
+        assert res.float32_iters == res.iters
+        gate = max(10 * 1e-10 * lam,
+                   simulator._KKT_FLOOR * float(np.max(np.abs(inst.A.T @ inst.y))))
+        exact = simulator._polish(inst.A, inst.y, lam, np.sign(res.x_hat), gate)[0]
+        assert exact is not None and np.array_equal(res.x_hat, exact[0])
+        ref = self._float64(inst.A, inst.y, lam)
+        assert np.array_equal(res.x_hat, ref.x_hat)
+        assert res.iters == ref.iters
+
+    @pytest.mark.parametrize("seed", [13, 220, 600])
+    def test_unsettled_float32_hands_over(self, seed):
+        # stress-recipe problems (tests/stress_lasso.py) that float32 cannot
+        # finish.  Seed 13 (73 x 73) hands over when its step falls below the
+        # float32 floor, after 1,741 iterations.  Seeds 220 (65 x 65, cond
+        # 3.4e3) and 600 (27 x 24) hand over when a small objective change
+        # misses the float64 KKT gate, after 202 and 23; on seed 600 the
+        # next iteration's search certifies the pattern.  Each ends as
+        # float64 iterations alone end.
+        A, y, lam = stress_problem(seed)
+        res = solve_lasso(A, y, lam, max_iter=5000)
+        ref = self._float64(A, y, lam, max_iter=5000)
+        assert 0 < res.float32_iters < res.iters
+        assert res.converged == ref.converged
+        assert res.converged == (seed == 600)
+        if res.converged:
+            assert np.array_equal(res.x_hat, ref.x_hat)
+
+    def test_inputs_outside_the_float32_range_run_in_float64(self):
+        G = np.random.default_rng(0).normal(size=(3, 4))
+        x0 = np.array([1.0, 0.0, 0.0, 2.0])
+        for s in (1e-150, 1e150):
+            A = s * G
+            assert solve_lasso(A, A @ x0, 1e-3 * s * s).float32_iters == 0
+        # ||y|| / ||A||_F, the scale of x, beyond the range on its own
+        assert solve_lasso(G, 1e25 * (G @ x0), 1e22).float32_iters == 0
+        assert solve_lasso(G, G @ x0, 1e-3).float32_iters > 0
+
+    def test_peak_memory_is_one_float32_copy(self):
+        # fig-2 at n = 512, lam = 1.21: the float32 copy of A (4 m n bytes)
+        # is freed before the finisher makes its arrays (A_S, m |S| doubles,
+        # and a few |S| x |S| ones), so the peak stays within the two plus
+        # a few dozen vectors; a second copy or a float64 temporary of A
+        # (8 m n bytes) does not
+        import tracemalloc
+
+        inst = self._instance(512)
+        m, n = inst.A.shape
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = solve_lasso(inst.A, inst.y, 1.21)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert res.polished and res.float32_iters == res.iters
+        k = np.count_nonzero(res.x_hat)
+        assert 4 * m * n <= peak <= 4 * m * n + 8 * (m * k + 3 * k * k) + 32 * 8 * (m + n)
+
+    def test_search_reuses_the_gram_matrix_of_the_exact_solve(self, monkeypatch):
+        # the search starts from the support the rejected exact solve was on,
+        # so it gets that A_S^T A_S, with the bits it would form itself (as
+        # the product of one copy A_S with its own transpose)
+        grams = []
+        search = simulator._feature_sign
+
+        def spy(A, y, lam, x, r, aty, gate, gram=None):
+            A_s = A[:, np.flatnonzero(x)]
+            grams.append(np.array_equal(gram, A_s.T @ A_s))
+            return search(A, y, lam, x, r, aty, gate, gram)
+
+        monkeypatch.setattr(simulator, "_feature_sign", spy)
+        inst = generate_instance(self.FIG2, PRIOR, 256, simulator._trial_rng(0, 2))
+        assert solve_lasso(inst.A, inst.y, self.FIG2.lam).polished
+        assert grams and all(grams)
+
+
 class TestEmpiricalMetrics:
     def _tiny_instance(self):
         n, m = 4, 3
@@ -869,6 +971,15 @@ class TestRunGrid:
         # trial 0 is drawn on the calling thread, the others on helpers
         assert drawn[0] is threading.current_thread()
         assert not any(t.is_alive() for t in drawn[1:])
+
+    def test_package_resolves_simulator_names_on_first_use(self):
+        import lasso_mismatch
+
+        assert lasso_mismatch._SIMULATOR_NAMES == tuple(simulator.__all__)
+        for name in simulator.__all__:
+            assert getattr(lasso_mismatch, name) is getattr(simulator, name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lasso_mismatch.no_such_name
 
     def test_package_import_loads_no_executor(self):
         # run_grid imports concurrent.futures itself, so the logging it loads
