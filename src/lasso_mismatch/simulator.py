@@ -16,11 +16,12 @@ search (Lee, Battle, Raina & Ng 2007) corrects the pattern from the iterate,
 starting from the Gram matrix of the rejected solve, and the exact solution
 on the corrected pattern faces the same gate; FISTA goes on only when both
 fail.  The iterations that find the pattern run their products on a float32
-copy of A, and hand over to float64 ones when float32 can take them no
-further; the exact solves, the search and the gate use A in float64, so the
-returned x is the same as with float64 iterations whenever both reach its
-pattern (mixed-precision iterative refinement: Higham 2002, ch. 12; Carson
-& Higham 2018).
+copy of A, and hand over to A itself, once and for good, at their first
+check or when float32 can take them no further; the exact solves, the search
+and the gate use A in float64, so the returned x is the same as with float64
+iterations whenever both reach its pattern (mixed-precision iterative
+refinement: Higham 2002, ch. 12; Carson & Higham 2018).  When lambda is at
+least ||A^T y||_inf, x = 0 is returned before any iteration.
 
 The Monte Carlo loop runs over trials first, then over lambda: instances do
 not depend on lambda, so each trial draws its instance once, from a
@@ -83,9 +84,10 @@ class LassoResult:
     an exact-solve attempt and the inverse each search starts from.
     `polished` is True when the solve ended in the exact solve on a sign
     pattern.  `float32_iters` counts the iterations whose products ran on
-    the float32 copy of A (the first gradient excepted): all of them unless
-    the solve handed over to float64, and none when A and y lie outside
-    float32's range.
+    the float32 copy of A (the first gradient, -A^T y, is float64): all of
+    them unless the solve handed over to float64, and none when A and y lie
+    outside float32's range.  `iters` and `float32_iters` are 0 when x = 0
+    is returned before any iteration (lambda >= ||A^T y||_inf).
     """
 
     x_hat: np.ndarray
@@ -403,6 +405,11 @@ def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
     return None, products, solves
 
 
+def _product(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v in the precision of M, returned as float64."""
+    return (M @ v.astype(M.dtype, copy=False)).astype(np.float64, copy=False)
+
+
 def solve_lasso(
     A: np.ndarray,
     y: np.ndarray,
@@ -412,13 +419,15 @@ def solve_lasso(
 ) -> LassoResult:
     """Minimize (1/2)||y - A x||^2 + lam ||x||_1 by accelerated proximal gradient.
 
-    The step is 1/L, and the proximal map is soft thresholding at lam/L.
-    L starts from the largest squared column norm of A, which is positive
-    and at most ||A||_2^2.  Each iteration first tries L times 0.9 and
-    doubles it until the Beck-Teboulle sufficient-decrease test holds, so
-    every accepted step is certified while L follows the curvature along the
-    steps actually taken, down as well as up; L never exceeds ||A||_F^2,
-    which bounds ||A||_2^2.
+    When ||A^T y||_inf <= lam, x = 0 is optimal with KKT residual 0, and it
+    is returned before any iteration (iters 0, one product: A^T y).
+    Otherwise the step is 1/L, and the proximal map is soft thresholding at
+    lam/L.  L starts from the largest squared column norm of A, which is
+    positive and at most ||A||_2^2.  Each iteration first tries L times 0.9
+    and doubles it until the Beck-Teboulle sufficient-decrease test holds,
+    so every accepted step is certified while L follows the curvature along
+    the steps actually taken, down as well as up; L never exceeds
+    ||A||_F^2, which bounds ||A||_2^2.
     The products A x and A w are carried through the iterations, so an
     iteration costs two matrix-vector products plus one per failed test.
     Once the sign pattern of the iterate has held for a few iterations, and
@@ -440,31 +449,30 @@ def solve_lasso(
 
     Mixed precision: float32 finds the pattern, float64 certifies it.
     Since the returned x depends only on its pattern and passes a float64
-    gate, the iterations that find the pattern run their products (after
-    the first gradient, which gives A^T y and the gate's floor) on a
-    float32 copy of A, which moves half the bytes of A: the vector is cast
-    to float32 and the product back to float64, and the carried vectors
-    stay float64.  The copy is freed while the exact solve and the search
-    run, and made again if FISTA goes on.  Those two, and every KKT
-    residual, use A in float64, on r = A x - y formed afresh from A (at
-    x = 0, r = -y exactly, so it is not).  A d then carries the rounding of
-    up to four float32 products (A x_new, and A w = (1 + c) A x_new - c A x
-    with 0 <= c < 1).  For independent roundings a product of length n is
-    off by about sqrt(n) u relative to its terms (Higham & Mary 2019), and
-    four such errors add to 2 sqrt(n) u = sqrt(n) eps, with eps float32's
-    machine epsilon: that is the step floor while the products run in
-    float32.  FISTA goes on in float64 from the same iterate and momentum,
-    with A x and A w formed again from A, at the first of
+    gate, FISTA's products after the first gradient (-A^T y, formed in
+    float64 before the loop) go through one matrix P: a float32 copy of A,
+    made once, while the iterations look for the pattern, and A itself from
+    the hand-over on.  The copy moves half the bytes of A: the vector is
+    cast to float32 and the product back to float64, and the carried
+    vectors stay float64.  A d then carries the rounding of up to four
+    float32 products (A x_new, and A w = (1 + c) A x_new - c A x with
+    0 <= c < 1).  For independent roundings a product of length n is off
+    by about sqrt(n) u relative to its terms (Higham & Mary 2019), and four
+    such errors add to 2 sqrt(n) u = sqrt(n) eps, with eps float32's
+    machine epsilon: that is the step floor while P is the copy.  FISTA
+    hands over to A, from the same iterate and momentum with A x and A w
+    formed again from A, at the first of
       - an accepted step below that floor: float32 products cannot resolve
         a smaller one, so further float32 iterations only wander within
         rounding of the optimum of the float32 problem;
-      - a small objective change whose float64 KKT residual misses the
-        gate: the float32 iterate has stopped short of a certified one.
-    Neither rule has a constant of its own, and a pattern found before
-    either fires is certified as any other.  The float32 phase is skipped
-    when ||A||_F, ||y|| or their ratio (the scale of x) lies outside the
-    square roots of float32's normal range: within them, A's entries, the
-    iterates and their products stay normal float32 numbers.
+      - a check: a small objective change, a due exact solve, or max_iter.
+    The hand-over comes before the check, so every KKT residual, exact
+    solve and search reads r = A x - y in float64, and FISTA never goes
+    back to float32.  The rule has no constant of its own.  The float32
+    phase is skipped when ||A||_F, ||y|| or their ratio (the scale of x)
+    lies outside the square roots of float32's normal range: within them,
+    A's entries, the iterates and their products stay normal float32
+    numbers.
     """
     _check_positive("lam", lam)
     _check_positive("tol", tol)
@@ -483,42 +491,38 @@ def solve_lasso(
                          f"normal float {_NORMAL_MIN!r}, got {L_max!r}")
     # a start below ||A||_2^2 is corrected by backtracking
     L = float(col_sq.max())
-    matvecs = exact_solves = 0
-
-    kkt_gate = 10.0 * tol * lam
-    x = np.zeros(n)
-    Ax = np.zeros(m)
+    aty = A.T @ y
+    aty_max = float(np.abs(aty).max())
+    if aty_max <= lam:
+        return LassoResult(x_hat=np.zeros(n), iters=0, kkt_residual=0.0, converged=True,
+                           lipschitz=L, matvecs=1, exact_solves=0, polished=False,
+                           float32_iters=0)
+    kkt_gate = max(10.0 * tol * lam, _KKT_FLOOR * aty_max)
+    matvecs, exact_solves = 1, 0
+    x, Ax = np.zeros(n), np.zeros(m)
     w, Aw = x, Ax
+    # the gradient at the zero start
+    grad = -aty
     t = 1.0
     f_prev = 0.5 * float(y @ y)
     signs = np.zeros(n)
     stable = 0
     norm_a, norm_y = math.sqrt(L_max), math.sqrt(2.0 * f_prev)
-    in_float32 = all(_F32_LO <= v <= _F32_HI for v in (norm_a, norm_y, norm_y / norm_a))
-    floor = math.sqrt(n) * _EPS32 if in_float32 else _STEP_FLOOR
-    A32 = None
+    if all(_F32_LO <= v <= _F32_HI for v in (norm_a, norm_y, norm_y / norm_a)):
+        P, floor = A.astype(np.float32), math.sqrt(n) * _EPS32
+    else:
+        P, floor = A, _STEP_FLOOR
     float32_iters = 0
     for iters in range(1, max_iter + 1):
-        float32_iters += in_float32
-        if in_float32 and A32 is None:
-            A32 = A.astype(np.float32)
-        if not in_float32 or iters == 1:
-            grad = A.T @ (Aw - y)
-        else:
-            grad = (A32.T @ (Aw - y).astype(np.float32)).astype(np.float64)
-        matvecs += 1
-        if iters == 1:
-            # the first gradient is -A^T y
-            aty = -grad
-            kkt_gate = max(kkt_gate, _KKT_FLOOR * float(np.abs(grad).max()))
+        float32_iters += P is not A
+        if iters > 1:
+            grad = _product(P.T, Aw - y)
+            matvecs += 1
         L *= _L_SHRINK
         while True:
             step = w - grad / L
             x_new = np.sign(step) * np.maximum(np.abs(step) - lam / L, 0.0)
-            if not in_float32:
-                Ax_new = A @ x_new
-            else:
-                Ax_new = (A32 @ x_new.astype(np.float32)).astype(np.float64)
+            Ax_new = _product(P, x_new)
             matvecs += 1
             # sufficient decrease f(x_new) <= f(w) + grad.d + (L/2)|d|^2 of the
             # quadratic part f, which is exactly |A d|^2 <= L |d|^2.  A d is a
@@ -546,21 +550,20 @@ def solve_lasso(
         signs_new = np.sign(x_new)
         stable = 0 if (signs_new != signs).any() else stable + 1
         x, Ax, t, f_prev, signs = x_new, Ax_new, t_new, f, signs_new
-        # r is exact in float64 unless float32 products formed A x
-        exact_r = not in_float32 or not signs.any()
-        hand_over = in_float32 and dd < dd_floor
+        finish = stable == _POLISH_AFTER and np.count_nonzero(signs) <= m
+        if P is not A and (dd < dd_floor or small_change or finish or iters == max_iter):
+            # float64 for good, before any check reads r; dropping the copy
+            # frees its bytes for the finisher's arrays
+            P, floor = A, _STEP_FLOOR
+            Ax, Aw = A @ x, A @ w
+            matvecs += 2
+            r = Ax - y
         if small_change:
-            if not exact_r:
-                r, exact_r = A @ x - y, True
-                matvecs += 1
             kkt = _kkt_residual(A.T @ r, x, lam)
             matvecs += 1
             if kkt <= kkt_gate:
                 break
-            hand_over = in_float32
-        if stable == _POLISH_AFTER and np.count_nonzero(signs) <= m:
-            # the finisher works on A: free the float32 copy for its arrays
-            A32 = None
+        if finish:
             A_s, gram = _restrict(A, np.flatnonzero(signs))
             matvecs += 1
             polished, products, solves = _polish(A, y, lam, signs, kkt_gate, (A_s, gram))
@@ -569,9 +572,6 @@ def solve_lasso(
             matvecs += products
             exact_solves += solves
             if polished is None:
-                if not exact_r:
-                    r, exact_r = A @ x - y, True
-                    matvecs += 1
                 pattern, products, solves = _feature_sign(A, y, lam, x, r, aty, kkt_gate, gram)
                 matvecs += products
                 exact_solves += solves
@@ -584,15 +584,7 @@ def solve_lasso(
                                    converged=True, lipschitz=L, matvecs=matvecs,
                                    exact_solves=exact_solves, polished=True,
                                    float32_iters=float32_iters)
-        if hand_over:
-            in_float32, A32 = False, None
-            floor = _STEP_FLOOR
-            Ax, Aw = A @ x, A @ w
-            matvecs += 2
-    if iters == max_iter:
-        if in_float32 and signs.any():
-            Ax = A @ x
-            matvecs += 1
+    else:  # max_iter iterations ran without a break
         kkt = _kkt_residual(A.T @ (Ax - y), x, lam)
         matvecs += 1
     return LassoResult(x_hat=x, iters=iters, kkt_residual=kkt, converged=kkt <= kkt_gate,

@@ -327,9 +327,9 @@ class _CountingMatrix(np.ndarray):
 
 
 class TestSolveCounts:
-    def _count(self, A, y, lam):
+    def _count(self, A, y, lam, **kwargs):
         _CountingMatrix.products = 0
-        res = solve_lasso(A.view(_CountingMatrix), y, lam)
+        res = solve_lasso(A.view(_CountingMatrix), y, lam, **kwargs)
         return res, _CountingMatrix.products
 
     def test_matvecs_count_every_product(self):
@@ -346,16 +346,36 @@ class TestSolveCounts:
         assert np.array_equal(plain.x_hat, res.x_hat)
         assert (plain.matvecs, plain.polished) == (res.matvecs, res.polished)
 
-    def test_fista_exit_is_not_polished(self):
-        # above lam_max the zero start is optimal: one gradient, one step
-        # and one KKT check
-        rng = np.random.default_rng(2)
-        inst = generate_instance(CFG, PRIOR, 64, rng)
-        lam = 1.000001 * float(np.max(np.abs(inst.A.T @ inst.y)))
+    def _lam_max_instance(self):
+        inst = generate_instance(CFG, PRIOR, 64, np.random.default_rng(2))
+        return inst, float(np.max(np.abs(inst.A.T @ inst.y)))
+
+    def test_zero_exit_above_lam_max(self):
+        # above lam_max = ||A^T y||_inf the zero start is optimal with KKT
+        # residual 0: one product, A^T y, and no iteration
+        inst, lam_max = self._lam_max_instance()
+        res, products = self._count(inst.A, inst.y, 1.000001 * lam_max)
+        assert res.iters == 0
+        assert res.matvecs == products == 1
+        assert res.kkt_residual == 0.0
+        assert res.converged and not res.polished
+        assert res.float32_iters == 0
+        assert not res.x_hat.any()
+
+    def test_loop_runs_just_below_lam_max(self):
+        inst, lam_max = self._lam_max_instance()
+        lam = (1.0 - 1e-6) * lam_max
         res, products = self._count(inst.A, inst.y, lam)
-        assert not res.polished
-        assert res.iters == 1
-        assert res.matvecs == products == 3
+        assert res.iters >= 1 and res.converged
+        assert res.matvecs == products
+        ref = cd_lasso(inst.A, inst.y, lam)
+        assert np.max(np.abs(res.x_hat - ref)) <= 1e-8
+
+    def test_counts_through_a_hand_over_and_a_max_iter_exit(self):
+        # stress seed 13 hands over to float64 and then stops at max_iter
+        res, products = self._count(*stress_problem(13), max_iter=200)
+        assert 0 < res.float32_iters < res.iters == 200
+        assert res.matvecs == products
 
 
 class TestFeatureSign:
@@ -679,7 +699,7 @@ class TestFloat32Phase:
         # fig-2 cells: the float32 iterations find the pattern without a
         # hand-over, and the certified x is the exact solve on that pattern,
         # bit for bit the x of float64 iterations (at lam = 2.81, above
-        # lam_max, it is the zero start)
+        # lam_max, both return x = 0 before any iteration, iters 0)
         inst = self._instance(n)
         res = solve_lasso(inst.A, inst.y, lam)
         assert res.converged
@@ -692,23 +712,38 @@ class TestFloat32Phase:
         assert np.array_equal(res.x_hat, ref.x_hat)
         assert res.iters == ref.iters
 
-    @pytest.mark.parametrize("seed", [13, 220, 600])
+    @pytest.mark.parametrize("seed", [13, 100, 220, 229, 287, 600])
     def test_unsettled_float32_hands_over(self, seed):
         # stress-recipe problems (tests/stress_lasso.py) that float32 cannot
-        # finish.  Seed 13 (73 x 73) hands over when its step falls below the
-        # float32 floor, after 1,741 iterations.  Seeds 220 (65 x 65, cond
-        # 3.4e3) and 600 (27 x 24) hand over when a small objective change
-        # misses the float64 KKT gate, after 202 and 23; on seed 600 the
-        # next iteration's search certifies the pattern.  Each ends as
-        # float64 iterations alone end.
+        # finish.  Seeds 13 (73 x 73), 100, 220 (65 x 65, cond 3.4e3), 229
+        # and 287 hand over when their pattern is due for the exact solve,
+        # after 33, 51, 39, 16 and 52 iterations, although their steps hover
+        # around the float32 floor without falling below it; the solve and
+        # the search fail, and float64 iterations go on to max_iter.  Seed
+        # 600 (27 x 24) hands over at a small objective change after 23,
+        # whose float64 KKT check fails; the next iteration's search
+        # certifies the pattern.  Each ends as float64 iterations alone end.
         A, y, lam = stress_problem(seed)
         res = solve_lasso(A, y, lam, max_iter=5000)
         ref = self._float64(A, y, lam, max_iter=5000)
         assert 0 < res.float32_iters < res.iters
+        assert res.float32_iters <= 64
         assert res.converged == ref.converged
         assert res.converged == (seed == 600)
         if res.converged:
             assert np.array_equal(res.x_hat, ref.x_hat)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_max_iter_exit_reads_a_float64_residual(self, max_iter):
+        # stopped inside the float32 phase, the solve reports the residual
+        # of A x formed afresh in float64, not of the float32-carried A x
+        inst = self._instance(256)
+        lam = 0.41
+        res = solve_lasso(inst.A, inst.y, lam, max_iter=max_iter)
+        assert res.iters == res.float32_iters == max_iter
+        x = res.x_hat
+        assert res.kkt_residual == simulator._kkt_residual(
+            inst.A.T @ (inst.A @ x - inst.y), x, lam)
 
     def test_inputs_outside_the_float32_range_run_in_float64(self):
         G = np.random.default_rng(0).normal(size=(3, 4))
