@@ -491,8 +491,8 @@ def optimal_lambda(
     it takes more than OUTER_MAX_ITERS steps.
     """
     lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not (0.0 < lo < hi):
-        raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"need 0 < lo < hi < inf, got ({lo}, {hi})")
 
     def f(lam: float) -> float:
         c = cfg.with_lam(lam)

@@ -13,15 +13,15 @@ one per failed test, and once the sign pattern of the iterate settles it
 tries the exact solution on that pattern, returned only if it passes the
 KKT gate.  When that solve is rejected, a bounded feature-sign active-set
 search (Lee, Battle, Raina & Ng 2007) corrects the pattern from the iterate,
-starting from the Gram matrix of the rejected solve, and the exact solution
-on the corrected pattern faces the same gate; FISTA goes on only when both
-fail.  The iterations that find the pattern run their products on a float32
-copy of A, and hand over to A itself, once and for good, at their first
-check or when float32 can take them no further; the exact solves, the search
-and the gate use A in float64, so the returned x is the same as with float64
-iterations whenever both reach its pattern (mixed-precision iterative
-refinement: Higham 2002, ch. 12; Carson & Higham 2018).  When lambda is at
-least ||A^T y||_inf, x = 0 is returned before any iteration.
+and the exact solution on the corrected pattern faces the same gate; FISTA
+goes on only when both fail.  The iterations that find the pattern run
+their products on a float32 copy of A, and hand over to A itself, once and
+for good, at their first check or when float32 can take them no further;
+the exact solves, the search and the gate use A in float64, so the returned
+x is the same as with float64 iterations whenever both reach its pattern
+(mixed-precision iterative refinement: Higham 2002, ch. 12; Carson & Higham
+2018).  When lambda is at least ||A^T y||_inf, x = 0 is returned before any
+iteration.
 
 The Monte Carlo loop runs over trials first, then over lambda: instances do
 not depend on lambda, so each trial draws its instance once, from a
@@ -224,15 +224,8 @@ _F32_LO = math.sqrt(float(np.finfo(np.float32).tiny))
 _F32_HI = math.sqrt(float(np.finfo(np.float32).max))
 
 
-def _restrict(A: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns A_S of A on `support` and their Gram matrix A_S^T A_S."""
-    A_s = A[:, support]
-    return A_s, A_s.T @ A_s
-
-
-def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray, kkt_gate: float,
-            restricted: tuple[np.ndarray, np.ndarray] | None = None,
-            ) -> tuple[tuple[np.ndarray, float] | None, int, int]:
+def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
+            kkt_gate: float) -> tuple[tuple[np.ndarray, float] | None, int, int]:
     """Exact LASSO solution for the sign pattern `signs`, if it is the optimum.
 
     Solves the normal equations A_S^T A_S x_S = A_S^T y - lam s_S on the
@@ -242,17 +235,15 @@ def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray, kkt_gat
     with the right signs that misses the gate gets one step of iterative
     refinement first: on S the KKT residual is the residual of the normal
     equations, so the step costs one more solve.  The candidate depends
-    only on (A, y, lam, signs), not on how the pattern was found.
-    `restricted` is `_restrict(A, support of signs)` when the caller has
-    formed it.  The second value counts the products with A, A^T or A_S
-    taken, the Gram matrix as one when it is formed here, and the third the
-    dense solves.
+    only on (A, y, lam, signs), not on how the pattern was found.  The
+    second value counts the products with A, A^T or A_S taken, the Gram
+    matrix A_S^T A_S as one, and the third the dense solves.
     """
     support = np.flatnonzero(signs)
     s = signs[support]
-    products = 1 + (restricted is None)
-    A_s, gram = _restrict(A, support) if restricted is None else restricted
-    solves = 1
+    A_s = A[:, support]
+    gram = A_s.T @ A_s
+    products, solves = 2, 1
     x = np.zeros(A.shape[1])
     try:
         x_s = np.linalg.solve(gram, A_s.T @ y - lam * s)
@@ -280,12 +271,11 @@ _PIVOT_FLOOR = 1e-10
 
 
 def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
-                  r: np.ndarray, aty: np.ndarray, kkt_gate: float,
-                  gram: np.ndarray | None = None) -> tuple[np.ndarray | None, int, int]:
+                  kkt_gate: float) -> tuple[np.ndarray | None, int, int]:
     """Sign pattern of the LASSO optimum by feature-sign search from x, or None.
 
     The active-set search of Lee, Battle, Raina & Ng (2007) started from
-    the iterate x, with r = A x - y and aty = A^T y.  On the active set S
+    the iterate x, carrying the residual r = A x - y.  On the active set S
     with signs theta it solves the equality QP A_S^T A_S x_S = A_S^T y -
     lam theta, then moves toward that solution to the lowest objective
     among the points where a coefficient changes sign and the solution
@@ -297,10 +287,9 @@ def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
     `_SEARCH_STEPS` steps pass.  It keeps one inverse of A_S^T A_S and
     changes it by bordering (add) and Schur complements (drop), so a step
     costs O(|S|^2) plus two or three full-length products.  Only the
-    pattern leaves: `_polish` solves and certifies it afresh.  `gram` is
-    A_S^T A_S on the support of x when the caller has formed it.  The
-    second value counts the products with A, A^T or A_S taken, the Gram
-    matrix as one when it is formed here, and the third the dense
+    pattern leaves: `_polish` solves and certifies it afresh.  The second
+    value counts the products with A, A^T or A_S taken (r, A^T y, and the
+    Gram matrix as one when S starts nonempty), and the third the dense
     factorizations (the inverse of A_S^T A_S when S starts nonempty, taken
     once the copy A_S is freed).
     """
@@ -314,17 +303,18 @@ def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
     theta = np.empty(cap)
     theta[:k] = np.sign(x[support])
     inv = np.empty((cap, cap))
-    solves = int(k > 0)
-    products = int(k > 0 and gram is None)
+    r = A @ x - y
+    aty = A.T @ y
+    products, solves = 2 + (k > 0), int(k > 0)
     if k:
-        if gram is None:
-            gram = _restrict(A, support)[1]
+        A_s = A[:, support]
+        gram = A_s.T @ A_s
+        del A_s
         try:
             inv[:k, :k] = np.linalg.inv(gram)
         except np.linalg.LinAlgError:
             return None, products, solves
     x = x.copy()
-    r = r.copy()
     d_full = np.zeros(n)
     # an empty S is optimal on itself: the search starts by adding
     settled = k == 0
@@ -466,18 +456,23 @@ def solve_lasso(
         a smaller one, so further float32 iterations only wander within
         rounding of the optimum of the float32 problem;
       - a check: a small objective change, a due exact solve, or max_iter.
-    The hand-over comes before the check, so every KKT residual, exact
-    solve and search reads r = A x - y in float64, and FISTA never goes
-    back to float32.  The rule has no constant of its own.  The float32
-    phase is skipped when ||A||_F, ||y|| or their ratio (the scale of x)
-    lies outside the square roots of float32's normal range: within them,
-    A's entries, the iterates and their products stay normal float32
-    numbers.
+    The hand-over comes before the check, so every KKT residual reads
+    r = A x - y in float64 (the exact solves and the search form what they
+    read from A), and FISTA never goes back to float32.  The rule has no
+    constant of its own.  The float32 phase is skipped when ||A||_F, ||y||
+    or their ratio (the scale of x) lies outside the square roots of
+    float32's normal range: within them, A's entries, the iterates and their
+    products stay normal float32 numbers.  A and y of any real dtype are
+    solved as their float64 values.
     """
     _check_positive("lam", lam)
     _check_positive("tol", tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    # float64 from here on: an integer A would truncate the float32 phase's
+    # casts, and a float32 one would run the float64 phase in float32
+    A = np.asanyarray(A, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     m, n = A.shape
     if y.shape != (m,):
         raise ValueError(f"y has shape {y.shape}, expected ({m},)")
@@ -564,15 +559,11 @@ def solve_lasso(
             if kkt <= kkt_gate:
                 break
         if finish:
-            A_s, gram = _restrict(A, np.flatnonzero(signs))
-            matvecs += 1
-            polished, products, solves = _polish(A, y, lam, signs, kkt_gate, (A_s, gram))
-            # the search starts from the same support but needs only the Gram matrix
-            del A_s
+            polished, products, solves = _polish(A, y, lam, signs, kkt_gate)
             matvecs += products
             exact_solves += solves
             if polished is None:
-                pattern, products, solves = _feature_sign(A, y, lam, x, r, aty, kkt_gate, gram)
+                pattern, products, solves = _feature_sign(A, y, lam, x, kkt_gate)
                 matvecs += products
                 exact_solves += solves
                 if pattern is not None and not np.array_equal(pattern, signs):

@@ -7,7 +7,9 @@ the KKT gate's floor of 64 ulps of ||A^T y||_inf can lie below the rounding
 of an exact solve, so a few problems stay non-converged.  The script prints
 the non-converged seeds, the total iteration count, the number of
 hand-overs (solves whose float32 iterations gave way to float64 ones before
-the solve ended) and the total float32 iterations, and exits 1 when more
+the solve ended), the total float32 iterations, and the total products
+with A (`matvecs`) and dense factorizations (`exact_solves`), where the cost
+of the exact solves and the active-set search shows.  It exits 1 when more
 than `MAX_NONCONVERGED` problems are non-converged.  The pytest run does not
 collect it (its name has no test_ prefix).  Run from the repository root:
 
@@ -39,18 +41,21 @@ def problem(seed: int) -> tuple[np.ndarray, np.ndarray, float]:
 
 def main() -> int:
     failed = []
-    iters = handovers = float32_iters = 0
+    iters = handovers = float32_iters = matvecs = exact_solves = 0
     for seed in SEEDS:
         res = solve_lasso(*problem(seed), max_iter=MAX_ITER)
         iters += res.iters
         handovers += 0 < res.float32_iters < res.iters
         float32_iters += res.float32_iters
+        matvecs += res.matvecs
+        exact_solves += res.exact_solves
         if not res.converged:
             failed.append(seed)
     print(f"non-converged: {len(failed)} of {len(SEEDS)} (seeds {failed})")
     print(f"total iterations: {iters}")
     print(f"hand-overs from float32 to float64: {handovers} "
           f"(float32 iterations: {float32_iters})")
+    print(f"total products with A: {matvecs} (dense factorizations: {exact_solves})")
     if len(failed) > MAX_NONCONVERGED:
         print(f"more than {MAX_NONCONVERGED} non-converged")
         return 1

@@ -725,6 +725,8 @@ class TestOptimalLambda:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             optimal_lambda(REF_CFG, REF_PRIOR, (1.0, 0.5))
+        with pytest.raises(ValueError, match="need 0 < lo < hi"):
+            optimal_lambda(REF_CFG, REF_PRIOR, (0.5, math.inf))
 
     def test_iteration_cap_raises(self, monkeypatch):
         # a quadratic stand-in for the predicted MSE isolates the lambda search
