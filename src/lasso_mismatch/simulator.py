@@ -84,10 +84,12 @@ class LassoResult:
     an exact-solve attempt and the inverse each search starts from.
     `polished` is True when the solve ended in the exact solve on a sign
     pattern.  `float32_iters` counts the iterations whose products ran on
-    the float32 copy of A (the first gradient, -A^T y, is float64): all of
-    them unless the solve handed over to float64, and none when A and y lie
-    outside float32's range.  `iters` and `float32_iters` are 0 when x = 0
-    is returned before any iteration (lambda >= ||A^T y||_inf).
+    the float32 copy of A (the first gradient, -A^T y, is float64): it is
+    the iteration of the hand-over to float64, which every exit passes while
+    the copy is in use, and 0 when A and y lie outside float32's range.
+    `iters` and `float32_iters` are 0 when x = 0 is returned before any
+    iteration (lambda >= ||A^T y||_inf).  `converged` is True when
+    `kkt_residual` is within the KKT gate, which a NaN never is.
     """
 
     x_hat: np.ndarray
@@ -198,12 +200,9 @@ def generate_instance(
 
 
 def _kkt_residual(g: np.ndarray, x: np.ndarray, lam: float) -> float:
-    """Violation of the LASSO optimality conditions at x, given g = A^T (A x - y)."""
-    zero = x == 0.0
-    r_zero = float(np.max(np.maximum(np.abs(g[zero]) - lam, 0.0))) if zero.any() else 0.0
-    active = ~zero
-    r_active = float(np.max(np.abs(g[active] + lam * np.sign(x[active])))) if active.any() else 0.0
-    return max(r_zero, r_active)
+    """KKT violation of the LASSO at x, given g = A^T (A x - y); NaN if any g_j is NaN."""
+    return float(np.max(np.where(x == 0.0, np.maximum(np.abs(g) - lam, 0.0),
+                                 np.abs(g + lam * np.sign(x)))))
 
 
 # each iteration first tries L times this, so L can come back down
@@ -213,7 +212,7 @@ _POLISH_AFTER = 5
 # steps below this share of the iterate's norm are within rounding of A d
 _STEP_FLOOR = 1e-12
 # KKT residuals below this many ulps of ||A^T y||_inf are rounding level
-_KKT_FLOOR = 64.0 * np.finfo(float).eps
+_KKT_FLOOR = 64.0 * float(np.finfo(float).eps)
 # smallest normal float: a smaller ||A||_F^2 makes the gradient subnormal
 _NORMAL_MIN = float(np.finfo(float).tiny)
 # float32's machine epsilon: sqrt(n) of it is the step floor of float32 products
@@ -431,8 +430,12 @@ def solve_lasso(
     the path to the pattern.  Iterations stop once the relative objective
     change falls below tol and the KKT residual is within the gate
     10*tol*lam, floored at 64 ulps of ||A^T y||_inf, below which the
-    residual is rounding; hitting max_iter (at least 1) with a larger
-    residual flags the result as non-converged (it is still returned).
+    residual is rounding, and a NaN residual never passes.  At max_iter (at
+    least 1) the same one check runs, and a larger residual flags the result
+    as non-converged (it is still returned).  Both checks come before a due
+    exact solve, so at max_iter an iterate within the gate is returned
+    unpolished, and one outside it costs that check's product first; on
+    the fig-2 grid and the stress problems neither case arises.
     ||A||_F^2 must be finite and at least the smallest normal float: the
     gradient and |A d|^2 scale with it, and as subnormals they lose the bits
     the step test and the KKT residual need, so a wrong x could pass the gate.
@@ -472,6 +475,8 @@ def solve_lasso(
     # float64 from here on: an integer A would truncate the float32 phase's
     # casts, and a float32 one would run the float64 phase in float32
     A = np.asanyarray(A, dtype=np.float64)
+    if A.ndim != 2:
+        raise ValueError(f"A must be a 2-D array, got shape {A.shape}")
     y = np.asarray(y, dtype=np.float64)
     m, n = A.shape
     if y.shape != (m,):
@@ -507,9 +512,8 @@ def solve_lasso(
         P, floor = A.astype(np.float32), math.sqrt(n) * _EPS32
     else:
         P, floor = A, _STEP_FLOOR
-    float32_iters = 0
+    float32_iters, polished = 0, None
     for iters in range(1, max_iter + 1):
-        float32_iters += P is not A
         if iters > 1:
             grad = _product(P.T, Aw - y)
             matvecs += 1
@@ -549,11 +553,11 @@ def solve_lasso(
         if P is not A and (dd < dd_floor or small_change or finish or iters == max_iter):
             # float64 for good, before any check reads r; dropping the copy
             # frees its bytes for the finisher's arrays
-            P, floor = A, _STEP_FLOOR
+            P, floor, float32_iters = A, _STEP_FLOOR, iters
             Ax, Aw = A @ x, A @ w
             matvecs += 2
             r = Ax - y
-        if small_change:
+        if small_change or iters == max_iter:
             kkt = _kkt_residual(A.T @ r, x, lam)
             matvecs += 1
             if kkt <= kkt_gate:
@@ -571,16 +575,11 @@ def solve_lasso(
                     matvecs += products
                     exact_solves += solves
             if polished is not None:
-                return LassoResult(x_hat=polished[0], iters=iters, kkt_residual=polished[1],
-                                   converged=True, lipschitz=L, matvecs=matvecs,
-                                   exact_solves=exact_solves, polished=True,
-                                   float32_iters=float32_iters)
-    else:  # max_iter iterations ran without a break
-        kkt = _kkt_residual(A.T @ (Ax - y), x, lam)
-        matvecs += 1
+                x, kkt = polished
+                break
     return LassoResult(x_hat=x, iters=iters, kkt_residual=kkt, converged=kkt <= kkt_gate,
                        lipschitz=L, matvecs=matvecs, exact_solves=exact_solves,
-                       polished=False, float32_iters=float32_iters)
+                       polished=polished is not None, float32_iters=float32_iters)
 
 
 def empirical_metrics(x_hat: np.ndarray, inst: Instance,

@@ -9,9 +9,10 @@ the non-converged seeds, the total iteration count, the number of
 hand-overs (solves whose float32 iterations gave way to float64 ones before
 the solve ended), the total float32 iterations, and the total products
 with A (`matvecs`) and dense factorizations (`exact_solves`), where the cost
-of the exact solves and the active-set search shows.  It exits 1 when more
-than `MAX_NONCONVERGED` problems are non-converged.  The pytest run does not
-collect it (its name has no test_ prefix).  Run from the repository root:
+of the exact solves and the active-set search shows.  It exits 1 when a
+problem outside `KNOWN_NONCONVERGED` is non-converged; a known seed that
+converges passes.  The pytest run does not collect it (its name has no
+test_ prefix).  Run from the repository root:
 
     PYTHONPATH=src python3 tests/stress_lasso.py
 """
@@ -25,8 +26,8 @@ from lasso_mismatch.simulator import solve_lasso
 SEEDS = range(300)
 MAX_ITER = 5000
 # non-converged problems of this recipe once the active-set search could
-# reach |S| = m (seeds 13, 100, 220, 223, 229 and 287)
-MAX_NONCONVERGED = 6
+# reach |S| = m
+KNOWN_NONCONVERGED = {13, 100, 220, 223, 229, 287}
 
 
 def problem(seed: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -56,8 +57,9 @@ def main() -> int:
     print(f"hand-overs from float32 to float64: {handovers} "
           f"(float32 iterations: {float32_iters})")
     print(f"total products with A: {matvecs} (dense factorizations: {exact_solves})")
-    if len(failed) > MAX_NONCONVERGED:
-        print(f"more than {MAX_NONCONVERGED} non-converged")
+    new = sorted(set(failed) - KNOWN_NONCONVERGED)
+    if new:
+        print(f"non-converged beyond the known seeds: {new}")
         return 1
     return 0
 

@@ -243,6 +243,9 @@ class TestSolveLasso:
         for max_iter in (0, -1):
             with pytest.raises(ValueError, match="max_iter must be at least 1"):
                 solve_lasso(np.eye(4), np.ones(4), 1.0, max_iter=max_iter)
+        for A in (np.ones(3), np.ones((3, 4, 2))):
+            with pytest.raises(ValueError, match="2-D"):
+                solve_lasso(A, np.ones(3), 1.0)
 
     def test_scale_of_A_within_the_normal_range(self):
         # the solution of the scaled problem (s A, s y, s^2 lam) is the same x
@@ -388,11 +391,26 @@ class TestSolveCounts:
         ref = cd_lasso(inst.A, inst.y, lam)
         assert np.max(np.abs(res.x_hat - ref)) <= 1e-8
 
-    def test_counts_through_a_hand_over_and_a_max_iter_exit(self):
-        # stress seed 13 hands over to float64 and then stops at max_iter
-        res, products = self._count(*stress_problem(13), max_iter=200)
-        assert 0 < res.float32_iters < res.iters == 200
+    @pytest.mark.parametrize("seed, max_iter", [(13, 200), (600, 23)])
+    def test_counts_through_a_hand_over_and_a_max_iter_exit(self, seed, max_iter, monkeypatch):
+        # stress seed 13 hands over to float64 and then stops at max_iter.
+        # Seed 600's last iteration is a small objective change that hands
+        # over and misses the gate: its one KKT check also serves max_iter
+        calls = []
+        kkt_residual = simulator._kkt_residual
+
+        def spy(*args):
+            calls.append(1)
+            return kkt_residual(*args)
+
+        monkeypatch.setattr(simulator, "_kkt_residual", spy)
+        res, products = self._count(*stress_problem(seed), max_iter=max_iter)
+        assert res.iters == max_iter and not res.converged
         assert res.matvecs == products
+        if seed == 13:
+            assert 0 < res.float32_iters < res.iters
+        else:
+            assert (len(calls), res.float32_iters, res.matvecs) == (1, max_iter, 53)
 
 
 class TestFeatureSign:
@@ -603,6 +621,14 @@ class TestKktGate:
         assert res.converged
         assert res.iters < 5000
         assert res.kkt_residual <= 64 * np.finfo(float).eps * aty
+
+    @pytest.mark.parametrize("g", [[0.05, math.nan], [math.nan, 0.05]],
+                             ids=["on-support", "off-support"])
+    def test_nan_gradient_cannot_certify(self, g):
+        # a NaN entry of the gradient, on the support or off it, makes the
+        # residual NaN, which fails every gate
+        res = simulator._kkt_residual(np.array(g), np.array([0.0, 1.0]), 0.1)
+        assert math.isnan(res)
 
 
 class TestPolish:
