@@ -71,6 +71,17 @@ class SweepRow(Mapping):
         column = self._columns.get(col)
         return None if column is None else column[self._index]
 
+    def get(self, col: str, default=None):
+        """The value of column col, None if the mode left it empty, default if no such column.
+
+        Mapping.get's own version goes through __getitem__ and a try block;
+        emit_csv reads every cell this way.
+        """
+        column = self._columns.get(col)
+        if column is not None:
+            return column[self._index]
+        return None if col in _COLUMN_SET else default
+
     def __iter__(self):
         return iter(CSV_COLUMNS)
 

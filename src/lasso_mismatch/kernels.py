@@ -109,13 +109,17 @@ def _check_gauss_args(mean: float, spread: float, threshold: float) -> tuple[flo
 def _gauss_moments(mu: float, tau: float, chi: float) -> tuple[float, float, float, float, float]:
     """(E e, E|eta|, P(|a| <= chi) and its partials in chi and tau) for a = mu + tau*H.
 
-    All five come from one set of Q and phi values.  Arguments are not
-    checked; gauss_expect_e is the checked entry point.
+    All five come from one set of Q and phi values; at mu == 0 (a prior's
+    zero atom) -u- is u+ exactly, so Q(-u-) and phi(u-) are Q(u+) and phi(u+).
+    Arguments are not checked; gauss_expect_e is the checked entry point.
     """
     up = (chi - mu) / tau
     um = (-chi - mu) / tau
-    q_up, q_um, q_mum = _q(up), _q(um), _q(-um)
-    p_up, p_um = _pdf(up), _pdf(um)
+    q_up, q_um, p_up = _q(up), _q(um), _pdf(up)
+    if mu == 0.0:
+        q_mum, p_um = q_up, p_up
+    else:
+        q_mum, p_um = _q(-um), _pdf(um)
     tails = um * p_um - up * p_up
     # a > chi and a < -chi branches of e
     upper = (chi * mu - 0.5 * chi * chi) * q_up + chi * tau * p_up

@@ -79,7 +79,8 @@ class LassoResult:
     """Solution, iteration count, KKT residual and the final step constant L.
 
     `matvecs` counts every product with A or A^T the solve took: gradients,
-    backtracking retries, KKT checks, exact-solve and active-set search
+    backtracking retries, KKT checks, the float64 A x and A w formed after
+    the hand-over (each only when read), exact-solve and active-set search
     products.  `exact_solves` counts the dense factorizations: each solve of
     an exact-solve attempt and the inverse each search starts from.
     `polished` is True when the solve ended in the exact solve on a sign
@@ -453,19 +454,21 @@ def solve_lasso(
     by about sqrt(n) u relative to its terms (Higham & Mary 2019), and four
     such errors add to 2 sqrt(n) u = sqrt(n) eps, with eps float32's
     machine epsilon: that is the step floor while P is the copy.  FISTA
-    hands over to A, from the same iterate and momentum with A x and A w
-    formed again from A, at the first of
+    hands over to A, from the same iterate and momentum, at the first of
       - an accepted step below that floor: float32 products cannot resolve
         a smaller one, so further float32 iterations only wander within
         rounding of the optimum of the float32 problem;
       - a check: a small objective change, a due exact solve, or max_iter.
     The hand-over comes before the check, so every KKT residual reads
     r = A x - y in float64 (the exact solves and the search form what they
-    read from A), and FISTA never goes back to float32.  The rule has no
-    constant of its own.  The float32 phase is skipped when ||A||_F, ||y||
-    or their ratio (the scale of x) lies outside the square roots of
-    float32's normal range: within them, A's entries, the iterates and their
-    products stay normal float32 numbers.  A and y of any real dtype are
+    read from A), and FISTA never goes back to float32.  The float64 A x
+    and A w are formed from A only when read: A x by a check, both by a
+    next iteration, so a hand-over whose finisher or max_iter ends the
+    solve forms neither or A x alone.  The rule has no constant of its
+    own.  The float32 phase is skipped when ||A||_F, ||y|| or their ratio
+    (the scale of x) lies outside the square roots of float32's normal
+    range: within them, A's entries, the iterates and their products stay
+    normal float32 numbers.  A and y of any real dtype are
     solved as their float64 values.
     """
     _check_positive("lam", lam)
@@ -515,6 +518,12 @@ def solve_lasso(
     float32_iters, polished = 0, None
     for iters in range(1, max_iter + 1):
         if iters > 1:
+            if Aw is None:  # the first iteration after the hand-over
+                if Ax is None:
+                    Ax = A @ x
+                    matvecs += 1
+                Aw = A @ w
+                matvecs += 1
             grad = _product(P.T, Aw - y)
             matvecs += 1
         L *= _L_SHRINK
@@ -552,12 +561,15 @@ def solve_lasso(
         finish = stable == _POLISH_AFTER and np.count_nonzero(signs) <= m
         if P is not A and (dd < dd_floor or small_change or finish or iters == max_iter):
             # float64 for good, before any check reads r; dropping the copy
-            # frees its bytes for the finisher's arrays
+            # frees its bytes for the finisher's arrays.  A x and A w are
+            # formed from A when read: A x by a check, both by a next iteration
             P, floor, float32_iters = A, _STEP_FLOOR, iters
-            Ax, Aw = A @ x, A @ w
-            matvecs += 2
-            r = Ax - y
+            Ax = Aw = None
         if small_change or iters == max_iter:
+            if Ax is None:
+                Ax = A @ x
+                matvecs += 1
+                r = Ax - y
             kkt = _kkt_residual(A.T @ r, x, lam)
             matvecs += 1
             if kkt <= kkt_gate:

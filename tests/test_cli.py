@@ -162,6 +162,9 @@ class TestRunSweep:
         assert tuple(row) == CSV_COLUMNS and len(row) == len(CSV_COLUMNS)
         assert row == dict(row) and dict(row)["lambda"] == 1.201
         assert row.get("mse_emp_mean") is None
+        assert row.get("mse_emp_mean", 0.0) is None  # an empty column is None
+        assert row.get("lambda") == 1.201
+        assert row.get("no_such_column") is None and row.get("no_such_column", 7) == 7
         with pytest.raises(KeyError):
             row["no_such_column"]
         with pytest.raises(TypeError):

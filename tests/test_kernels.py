@@ -8,6 +8,8 @@ import pytest
 
 from lasso_mismatch.kernels import (
     _gauss_moments,
+    _pdf,
+    _q,
     gauss_expect_e,
     gauss_expect_eta,
     q_function,
@@ -212,3 +214,27 @@ class TestGaussExpectations:
                                 - oracle_prob_inside(mu, tau - dt, chi)) / (2 * dt)
                     assert abs(got_chi - want_chi) <= 1e-7 * max(1.0, abs(want_chi))
                     assert abs(got_tau - want_tau) <= 1e-7 * max(1.0, abs(want_tau))
+
+    def test_zero_mean_shortcut_is_bitwise_the_general_expression(self):
+        # at mu = 0, -u- is u+ exactly, so reusing Q(u+) and phi(u+) for
+        # Q(-u-) and phi(u-) must not change a bit of any of the five values
+        def general(mu, tau, chi):
+            up = (chi - mu) / tau
+            um = (-chi - mu) / tau
+            q_up, q_um, q_mum = _q(up), _q(um), _q(-um)
+            p_up, p_um = _pdf(up), _pdf(um)
+            tails = um * p_um - up * p_up
+            upper = (chi * mu - 0.5 * chi * chi) * q_up + chi * tau * p_up
+            lower = (-chi * mu - 0.5 * chi * chi) * q_mum + chi * tau * p_um
+            dead = (0.5 * (mu * mu + tau * tau) * (q_um - q_up) + mu * tau * (p_um - p_up)
+                    + 0.5 * tau * tau * tails)
+            abs_eta = (mu - chi) * q_up + tau * p_up - (mu + chi) * q_mum + tau * p_um
+            return upper + dead + lower, abs_eta, q_um - q_up, (p_up + p_um) / tau, tails / tau
+
+        grid = np.logspace(-8, 8, 81)
+        for mu in (0.0, -0.0):
+            for tau in grid:
+                for chi in grid:
+                    got = _gauss_moments(mu, float(tau), float(chi))
+                    want = general(mu, float(tau), float(chi))
+                    assert [v.hex() for v in got] == [v.hex() for v in want], (mu, tau, chi)

@@ -72,6 +72,14 @@ class TestModelConfig:
         assert cfg.gamma ** 2 + cfg.eps2 == pytest.approx(1.0, abs=1e-15)
         assert cfg.snr == pytest.approx(0.5, abs=1e-15)
 
+    def test_with_lam_checks_lam_and_keeps_the_rest(self):
+        cfg = REF_CFG.with_lam(0.3)
+        assert cfg == ModelConfig(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=0.3)
+        assert cfg.gamma == REF_CFG.gamma == math.sqrt(1.0 - 0.1)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^lam must"):
+                REF_CFG.with_lam(bad)
+
     def test_from_snr(self):
         cfg = ModelConfig.from_snr(delta=0.8, kappa=0.1, eps2=0.1, snr=0.5, lam=1.0)
         assert cfg.sigma_z2 == pytest.approx(0.2, abs=1e-15)
@@ -167,7 +175,7 @@ class TestMaximizeOverBeta:
         # tau (beta = 2.1e8 at tau = 1e-9) needs no bracket expansion
         for tau in (1e-9, 1e-100):
             beta, value, _ = maximize_over_beta(tau, REF_CFG, REF_PRIOR)
-            _, g_beta, _, _ = predictor._derivatives(tau, beta, REF_CFG, REF_PRIOR)
+            _, g_beta, _, _, _ = predictor._derivatives(tau, beta, REF_CFG, REF_PRIOR)
             assert abs(beta * g_beta) <= SADDLE_TOL * value, tau
             for probe in (beta * (1 - 1e-4), beta * (1 + 1e-4)):
                 assert value >= objective_D(tau, probe, REF_CFG, REF_PRIOR), tau
@@ -206,9 +214,19 @@ class TestBracketedRoot:
     def test_start_at_the_root_takes_one_evaluation(self):
         root = 2.0 ** (1.0 / 3.0)
         assert bracketed_root(_cube, 0.5, 2.0, "tau", start=root) == (root, 1)
-        # a start outside the open bracket is ignored
+        # a start at or below lo, or above hi, is ignored
         cold = bracketed_root(_cube, 0.5, 2.0, "tau")
-        assert bracketed_root(_cube, 0.5, 2.0, "tau", start=2.0) == cold
+        for start in (0.5, 2.5):
+            assert bracketed_root(_cube, 0.5, 2.0, "tau", start=start) == cold
+        # a start at hi is evaluated first
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return _cube(x)
+
+        bracketed_root(f, 0.5, 2.0, "tau", start=2.0)
+        assert calls[0] == 2.0
 
     def test_failures_raise(self, monkeypatch):
         with pytest.raises(NonConvergenceError, match="not above"):
@@ -275,6 +293,22 @@ class TestSlopes:
         ids=["fig1", "heavy", "three_atoms"],
     )
     @pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
+    def test_root_curve_slope_matches_central_differences(self, cfg, p, lam):
+        # dbeta/dtau = H_tb / (-H_bb), the slope of the beta root's curve beta(tau)
+        cfg = cfg.with_lam(lam)
+        for tau in (0.3, 0.6, 1.2):
+            dt = 1e-5 * tau
+            want = (predictor._beta_root(tau + dt, cfg, p)[0]
+                    - predictor._beta_root(tau - dt, cfg, p)[0]) / (2 * dt)
+            got = predictor._beta_root(tau, cfg, p)[1][4]
+            assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), tau
+
+    @pytest.mark.parametrize(
+        "cfg,p",
+        [(FIG1_CFG, REF_PRIOR), (HEAVY_CFG, REF_PRIOR), (ATOMS_CFG, ATOMS_PRIOR)],
+        ids=["fig1", "heavy", "three_atoms"],
+    )
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
     def test_tau_slope_matches_central_differences(self, cfg, p, lam):
         # the total slope of tau -> dD/dtau(tau, beta(tau)), beta(tau) the beta root
         cfg = cfg.with_lam(lam)
@@ -296,8 +330,8 @@ class TestSolveScalar:
         assert 3 <= sol.outer_iters <= ROOT_MAX_EVALS
         assert sol.outer_iters <= sol.inner_iters_total <= ROOT_MAX_EVALS * sol.outer_iters
         assert sol.objective == objective_D(sol.tau_star, sol.beta_star, REF_CFG, REF_PRIOR)
-        g_tau, g_beta, _, _ = predictor._derivatives(sol.tau_star, sol.beta_star, REF_CFG,
-                                                      REF_PRIOR)
+        g_tau, g_beta, _, _, _ = predictor._derivatives(sol.tau_star, sol.beta_star, REF_CFG,
+                                                         REF_PRIOR)
         assert sol.residual == (abs(sol.tau_star * g_tau), abs(sol.beta_star * g_beta))
         assert max(sol.residual) <= SADDLE_TOL * sol.objective
 
@@ -316,9 +350,21 @@ class TestSolveScalar:
         assert len(calls) == sol.inner_iters_total
         assert calls[-1] == (sol.tau_star, sol.beta_star)
 
+    def test_fig1_grid_evaluation_counts(self):
+        # the cold beta root starts at its lambda -> inf limit and each later
+        # one on the root curve's first-order prediction: 348 beta evaluations
+        # over the 60 solves, where warm starts at the previous beta took 459
+        outer = inner = 0
+        for lam in GRID:
+            sol = solve_scalar(FIG1_CFG.with_lam(lam), REF_PRIOR)
+            outer += sol.outer_iters
+            inner += sol.inner_iters_total
+        assert outer == 161
+        assert inner <= 380
+
     def test_newton_evaluation_count(self):
         # median gradient evaluations per solve on the grid, outer and inner
-        # (6.5 on fig-1 and 12.5 on heavy)
+        # (5 on fig-1 and 10 on heavy)
         for cfg, bound in [(FIG1_CFG, 10), (HEAVY_CFG, 15)]:
             counts = []
             for lam in GRID:
@@ -387,7 +433,7 @@ class TestSolveScalar:
         # delta in [0.05, 10], eps^2 up to 0.999, sigma_z^2 in [1e-6, 100] and
         # lambda in [1e-6, 1e5] (all log-uniform but eps^2), sparse Bernoulli and
         # multi-atom priors: every solve is certified, within the evaluation
-        # counts the lambda -> inf start gives (median 18, max 153 per solve).
+        # counts the lambda -> inf start gives (median 17, max 95 per solve).
         # At lambda = 1e4 the estimate is zero: the MSE is E[X^2] and no entry
         # is detected.
         rng = random.Random(3)
@@ -537,21 +583,30 @@ class TestPredictions:
             w_tau = (tau * (inside - chi * inside_chi) + clipped - w) / tau
             h_tb = half + w_tau
             h_tt = beta * (inside_tau + inside_chi * chi / tau - (w_tau - w / tau) / tau)
+            beta_tau = h_tb / slope_beta
             return (beta * (half + inside - w / tau), tau * half + w - 0.5 * beta,
-                    slope_beta, h_tt + h_tb * h_tb / slope_beta)
+                    slope_beta, h_tt + h_tb * beta_tau, beta_tau)
 
-        last = {"beta": math.nan}
+        last = {}
 
         def reduced_beta_root(tau):
             def f(beta):
-                last["d_tau"], d_beta, slope_beta, last["slope"] = reduced_derivatives(tau, beta)
+                (last["d_tau"], d_beta, slope_beta, last["slope"],
+                 last["beta_tau"]) = reduced_derivatives(tau, beta)
                 return -d_beta, slope_beta
 
             hi = tau * cfg.delta + (cfg.sigma_z2 + p.second_moment()) / tau
             lo = 0.5 * max(tau * (cfg.delta - 1.0) + cfg.sigma_z2 / tau,
                            min(cfg.lam * math.sqrt(8.0 * cfg.delta / 3.0),
                                0.5 * tau * cfg.delta + cfg.sigma_z2 / tau))
-            last["beta"], _ = bracketed_root(f, lo, hi, "beta", start=last["beta"])
+            # cold at hi, then first order along the root curve beta(tau), a
+            # fall taken as beta^2 / (beta - move)
+            start = hi
+            if last:
+                beta, move = last["beta"], (tau - last["tau"]) * last["beta_tau"]
+                start = beta + move if move >= 0.0 else beta * beta / (beta - move)
+            last["beta"], _ = bracketed_root(f, lo, hi, "beta", start=start)
+            last["tau"] = tau
             return last["d_tau"], last["slope"]
 
         lo = 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta)
