@@ -352,8 +352,8 @@ class TestSolveScalar:
 
     def test_fig1_grid_evaluation_counts(self):
         # the cold beta root starts at its lambda -> inf limit and each later
-        # one on the root curve's first-order prediction: 348 beta evaluations
-        # over the 60 solves, where warm starts at the previous beta took 459
+        # one on the root curve's first-order prediction (348 beta evaluations
+        # over the 60 solves)
         outer = inner = 0
         for lam in GRID:
             sol = solve_scalar(FIG1_CFG.with_lam(lam), REF_PRIOR)
