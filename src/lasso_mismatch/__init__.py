@@ -20,7 +20,6 @@ from .prior import *  # noqa: F401,F403
 _SIMULATOR_NAMES = (
     "Instance",
     "LassoResult",
-    "TrialResult",
     "EmpiricalReport",
     "round_count",
     "generate_instance",

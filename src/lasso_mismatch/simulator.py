@@ -48,7 +48,6 @@ from .prior import Prior
 __all__ = [
     "Instance",
     "LassoResult",
-    "TrialResult",
     "EmpiricalReport",
     "round_count",
     "generate_instance",
@@ -105,32 +104,32 @@ class LassoResult:
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    mse: float
-    phi_on: float
-    phi_off: float
-    solver_iters: int
-    kkt_residual: float
-    converged: bool
-
-
-@dataclass(frozen=True)
 class EmpiricalReport:
-    """Per-trial results plus their means and standard errors for one cell."""
+    """One cell's trials as columns, in trial order, with their means and SEs.
 
-    trials: tuple[TrialResult, ...]
+    `mse`, `phi_on` and `phi_off` hold `empirical_metrics` of each trial,
+    and `iters`, `kkt_residual` and `converged` the fields of its
+    `LassoResult`.  The columns are tuples, not arrays, so reports compare
+    and hash by value; `np.array(report.mse)` gives the float64 values the
+    means and SEs were taken from.
+    """
+
+    mse: tuple[float, ...]
+    phi_on: tuple[float, ...]
+    phi_off: tuple[float, ...]
+    iters: tuple[int, ...]
+    kkt_residual: tuple[float, ...]
+    converged: tuple[bool, ...]
     mean_mse: float
     se_mse: float
     mean_phi_on: float
     se_phi_on: float
     mean_phi_off: float
     se_phi_off: float
-    n: int
-    seed: int
 
     @property
     def nonconverged_trials(self) -> int:
-        return sum(1 for t in self.trials if not t.converged)
+        return self.converged.count(False)
 
 
 def _instance_size(cfg: ModelConfig, n: int) -> tuple[int, int]:
@@ -596,8 +595,13 @@ def solve_lasso(
 
 def empirical_metrics(x_hat: np.ndarray, inst: Instance,
                       xi: float) -> tuple[float, float, float]:
-    """Per-trial (MSE, on-support rate, off-support rate) at hard threshold xi."""
+    """Per-trial (MSE, on-support rate, off-support rate) at hard threshold xi.
+
+    ValueError unless x_hat has x0's shape: a column (n, 1) would broadcast to n x n.
+    """
     _check_positive("xi", xi)
+    if x_hat.shape != inst.x0.shape:
+        raise ValueError(f"x_hat has shape {x_hat.shape}, expected {inst.x0.shape}")
     n = inst.x0.shape[0]
     k = inst.support.shape[0]
     mse = float(np.sum((x_hat - inst.x0) ** 2)) / n
@@ -619,21 +623,12 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def _report(results: list[TrialResult], n: int, seed: int) -> EmpiricalReport:
-    mean_mse, se_mse = _mean_se(np.array([t.mse for t in results]))
-    mean_on, se_on = _mean_se(np.array([t.phi_on for t in results]))
-    mean_off, se_off = _mean_se(np.array([t.phi_off for t in results]))
-    return EmpiricalReport(
-        trials=tuple(results),
-        mean_mse=mean_mse,
-        se_mse=se_mse,
-        mean_phi_on=mean_on,
-        se_phi_on=se_on,
-        mean_phi_off=mean_off,
-        se_phi_off=se_off,
-        n=n,
-        seed=seed,
-    )
+def _report(cell: list[tuple]) -> EmpiricalReport:
+    """The report of one cell, given its trials as rows in EmpiricalReport's column order."""
+    mse, phi_on, phi_off, iters, kkt, converged = zip(*cell)
+    return EmpiricalReport(mse, phi_on, phi_off, iters, kkt, converged,
+                           *_mean_se(np.array(mse)), *_mean_se(np.array(phi_on)),
+                           *_mean_se(np.array(phi_off)))
 
 
 def run_grid(
@@ -658,8 +653,9 @@ def run_grid(
     time.  The reports equal, bit for bit, those of drawing and solving the
     trials one after another.  The executor is shut down, and its worker
     joined, before run_grid returns or raises, and an exception raised by a
-    draw is raised here.  Non-converged solver runs are recorded, not
-    dropped.
+    draw is raised here.  Each report holds its trials as tuple columns
+    (mse, phi_on, phi_off, iters, kkt_residual, converged; tuples so that
+    reports compare by value); non-converged runs are recorded, not dropped.
     """
     m, _ = _check_run(cfg, n, trials, seed)
     _check_positive("xi", xi)
@@ -676,7 +672,7 @@ def run_grid(
     # every interpreter start that imports the package
     from concurrent.futures import ThreadPoolExecutor
 
-    cells: list[list[TrialResult]] = [[] for _ in lambdas]
+    cells: list[list[tuple]] = [[] for _ in lambdas]
     inst = draw(0)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="lasso-mismatch-draw") as pool:
         for i in range(trials):
@@ -684,11 +680,11 @@ def run_grid(
             ahead = pool.submit(draw, i + 1) if i + 1 < trials else None
             for lam, cell in zip(lambdas, cells):
                 res = solve_lasso(inst.A, inst.y, lam)
-                cell.append(TrialResult(*empirical_metrics(res.x_hat, inst, xi),
-                                        res.iters, res.kkt_residual, res.converged))
+                cell.append((*empirical_metrics(res.x_hat, inst, xi),
+                             res.iters, res.kkt_residual, res.converged))
             if ahead is not None:
                 inst = ahead.result()
-    return tuple(_report(cell, n, seed) for cell in cells)
+    return tuple(_report(cell) for cell in cells)
 
 
 def run_trials(
@@ -701,7 +697,7 @@ def run_trials(
 ) -> EmpiricalReport:
     """Run independent trials at cfg.lam and aggregate means and standard errors.
 
-    The one-lambda case of `run_grid`: the report equals, bit for bit, the
-    cell of cfg.lam in any grid run with the same arguments.
+    The one-lambda case of `run_grid`: the report, columns and all, equals,
+    bit for bit, the cell of cfg.lam in any grid run with the same arguments.
     """
     return run_grid(cfg, p, n, trials, xi, seed, (cfg.lam,))[0]

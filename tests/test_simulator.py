@@ -1,7 +1,7 @@
 """Simulator tests: instance structure, solver correctness against trivial
 cases and a coordinate-descent oracle, step certification, the exact solve on
-the identified support, metric counting, the trial-first lambda grid, and
-determinism."""
+the identified support, metric counting, the trial-first lambda grid,
+determinism, and the Monte Carlo against the theory over the parameter range."""
 
 import functools
 import math
@@ -17,7 +17,7 @@ import pytest
 
 from lasso_mismatch import cli, simulator
 from lasso_mismatch.predictor import ModelConfig, predict_mse, solve_scalar
-from lasso_mismatch.prior import sparse_bernoulli
+from lasso_mismatch.prior import Prior, sparse_bernoulli
 from lasso_mismatch.simulator import (
     Instance,
     empirical_metrics,
@@ -856,6 +856,14 @@ class TestEmpiricalMetrics:
         assert (phi_on * k) == pytest.approx(round(phi_on * k), abs=1e-9)
         assert (phi_off * (n - k)) == pytest.approx(round(phi_off * (n - k)), abs=1e-9)
 
+    def test_estimate_must_have_the_shape_of_x0(self):
+        # a column (n, 1) would broadcast against x0 into an n x n difference
+        inst = generate_instance(CFG, PRIOR, 64, np.random.default_rng(0))
+        x_hat = solve_lasso(inst.A, inst.y, 0.41).x_hat
+        for bad in (x_hat[:, None], x_hat[:1]):
+            with pytest.raises(ValueError, match="shape"):
+                empirical_metrics(bad, inst, xi=1e-3)
+
     def test_xi_validation(self):
         inst = self._tiny_instance()
         for xi in (0.0, math.nan, math.inf):
@@ -866,10 +874,12 @@ class TestEmpiricalMetrics:
 class TestRunTrials:
     def test_aggregates_match_trials(self):
         rep = run_trials(CFG, PRIOR, n=64, trials=6, xi=1e-3, seed=9)
-        mses = np.array([t.mse for t in rep.trials])
-        assert rep.mean_mse == pytest.approx(mses.mean(), abs=1e-15)
-        assert rep.se_mse == pytest.approx(mses.std(ddof=1) / math.sqrt(6), abs=1e-15)
-        assert rep.n == 64 and rep.seed == 9
+        for name in ("mse", "phi_on", "phi_off"):
+            col = np.array(getattr(rep, name))
+            assert col.shape == (6,)
+            assert getattr(rep, "mean_" + name) == pytest.approx(col.mean(), abs=1e-15)
+            assert getattr(rep, "se_" + name) == pytest.approx(
+                col.std(ddof=1) / math.sqrt(6), abs=1e-15)
 
     def test_single_trial_has_zero_se(self):
         rep = run_trials(CFG, PRIOR, n=64, trials=1, xi=1e-3, seed=3)
@@ -880,23 +890,19 @@ class TestRunTrials:
     def test_bitwise_determinism_across_runs(self):
         a = run_trials(CFG, PRIOR, n=64, trials=8, xi=1e-3, seed=17)
         b = run_trials(CFG, PRIOR, n=64, trials=8, xi=1e-3, seed=17)
-        assert a.mean_mse == b.mean_mse
-        assert a.se_mse == b.se_mse
-        assert a.mean_phi_on == b.mean_phi_on
-        assert a.mean_phi_off == b.mean_phi_off
-        for ta, tb in zip(a.trials, b.trials):
-            assert ta == tb
+        assert a == b
 
     def test_nonconverged_counted_not_dropped(self, monkeypatch):
         # starve the solver at a lambda small enough that zero is never optimal
         monkeypatch.setattr(simulator, "solve_lasso", functools.partial(solve_lasso, max_iter=2))
         cfg = CFG.with_lam(0.301)
         rep = run_trials(cfg, PRIOR, n=64, trials=3, xi=1e-3, seed=1)
-        assert len(rep.trials) == 3
+        for col in (rep.mse, rep.phi_on, rep.phi_off, rep.iters, rep.kkt_residual,
+                    rep.converged):
+            assert len(col) == 3
         assert rep.nonconverged_trials == 3
-        for t in rep.trials:
-            assert not t.converged
-            assert math.isfinite(t.mse)
+        assert rep.converged == (False,) * 3
+        assert all(math.isfinite(mse) for mse in rep.mse)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -970,9 +976,8 @@ class TestRunGrid:
             inst = generate_instance(CFG, PRIOR, n, simulator._trial_rng(seed, i))
             for lam, cell in zip(self.GRID, cells):
                 res = solve_lasso(inst.A, inst.y, lam)
-                cell.append(simulator.TrialResult(
-                    *empirical_metrics(res.x_hat, inst, xi),
-                    res.iters, res.kkt_residual, res.converged))
+                cell.append((*empirical_metrics(res.x_hat, inst, xi),
+                             res.iters, res.kkt_residual, res.converged))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -980,7 +985,13 @@ class TestRunGrid:
                                lambdas=self.GRID)
         finally:
             sys.setswitchinterval(interval)
-        assert reports == tuple(simulator._report(cell, n, seed) for cell in cells)
+        # each column against the loop itself, so a column swapped inside
+        # _report cannot pass on both sides
+        names = ("mse", "phi_on", "phi_off", "iters", "kkt_residual", "converged")
+        for rep, cell in zip(reports, cells):
+            for j, name in enumerate(names):
+                assert getattr(rep, name) == tuple(row[j] for row in cell), name
+        assert reports == tuple(simulator._report(cell) for cell in cells)
 
     def test_draw_error_is_raised_and_helper_joined(self, monkeypatch):
         boom = RuntimeError("draw failed")
@@ -1078,3 +1089,46 @@ class TestConvergenceInProblemSize:
             ses.append(rep.se_mse)
         assert gaps[1] <= gaps[0] + 2 * math.hypot(ses[0], ses[1])
         assert gaps[2] <= gaps[1] + 2 * math.hypot(ses[1], ses[2])
+
+
+class TestTheoryOverTheParameterRange:
+    def test_debiased_estimate_has_the_theory_noise_level(self):
+        # By the KKT conditions x_hat = eta(v; lam / c) for the debiased
+        # estimate v = x_hat + A^T (y - A x_hat) / c, c = (m - k_hat) / n, and
+        # the theory says v - gamma x0 is N(0, tau*^2) entrywise, so
+        # z = (tau_emp / tau* - 1) sqrt(2n), tau_emp = RMS(v - gamma x0), is
+        # about standard normal per trial (its spread is wider: tau varies
+        # between instances at finite n).  A wrong law of y given A shifts
+        # the pooled mean.  One trial at each of 40 configurations over the
+        # whole range; every other one has a random discrete prior whose
+        # nonzero atoms take either sign.
+        n, count = 512, 40
+        rng = np.random.default_rng(1313)
+
+        def log_uniform(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        z = []
+        for i in range(count):
+            delta = log_uniform(0.3, 3.0)
+            kappa = rng.uniform(0.02, 0.3) * min(1.0, delta)
+            cfg = ModelConfig(delta=delta, kappa=kappa, eps2=rng.uniform(0.0, 0.9),
+                              sigma_z2=log_uniform(0.01, 2.0), lam=log_uniform(0.05, 3.0))
+            if i % 2:
+                atoms = int(rng.integers(1, 4))
+                values = [rng.choice((-1.0, 1.0)) * log_uniform(0.1, 3.0) for _ in range(atoms)]
+                masses = kappa * rng.dirichlet(np.ones(atoms))
+                prior = Prior(((0.0, 1.0 - kappa), *zip(values, masses)))
+            else:
+                prior = sparse_bernoulli(kappa)
+            inst = generate_instance(cfg, prior, n, rng)
+            res = solve_lasso(inst.A, inst.y, cfg.lam)
+            assert res.converged, cfg
+            c = (inst.y.size - np.count_nonzero(res.x_hat)) / n
+            v = res.x_hat + inst.A.T @ (inst.y - inst.A @ res.x_hat) / c
+            tau_emp = math.sqrt(float(np.mean((v - cfg.gamma * inst.x0) ** 2)))
+            z.append((tau_emp / solve_scalar(cfg, prior).tau_star - 1.0) * math.sqrt(2 * n))
+        z = np.array(z)
+        assert np.abs(z).max() <= 10.0, z
+        se = float(z.std(ddof=1)) / math.sqrt(count)
+        assert abs(float(z.mean())) <= 4.0 * se, (float(z.mean()), se)
