@@ -155,7 +155,7 @@ class SweepSpec:
                 # imported here, as in run_sweep: the simulator loads numpy
                 from .simulator import _check_run
 
-                _check_run(base, self.n, self.trials, self.seed)
+                _check_run(base, sparse_bernoulli(self.kappa), self.n, self.trials, self.seed)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 

@@ -278,6 +278,8 @@ def bracketed_root(f, lo: float, hi: float, name: str, *, start: float = math.na
     bracket is at most ROOT_REL_TOL * lo wide; returns (last point, number of
     f evaluations).  Otherwise raises NonConvergenceError, whose `name`
     attribute ("tau" or "beta") carries the last point and `context` the rest.
+    It raises it too, without evaluating f there, at a point that is not
+    positive: a bracket end that underflowed to 0 at an extreme configuration.
     """
 
     def failure(message: str, last: float) -> NonConvergenceError:
@@ -290,6 +292,9 @@ def bracketed_root(f, lo: float, hi: float, name: str, *, start: float = math.na
     evals = 0
     prev = prev2 = math.nan  # the two points before x; a nan move stalls nothing
     while evals < ROOT_MAX_EVALS:
+        # tau and beta are positive; f divides by them
+        if not x > 0.0:
+            raise failure(f"{name} search reached the nonpositive point {x:g}", x)
         fx, slope = f(x)
         evals += 1
         if fx < 0.0:

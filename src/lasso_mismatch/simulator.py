@@ -43,7 +43,7 @@ import numpy as np
 
 from .kernels import _check_positive
 from .predictor import ModelConfig
-from .prior import Prior
+from .prior import _PROB_TOL, Prior
 
 __all__ = [
     "Instance",
@@ -78,10 +78,10 @@ class LassoResult:
     """Solution, iteration count, KKT residual and the final step constant L.
 
     `matvecs` counts every product with A or A^T the solve took: gradients,
-    backtracking retries, KKT checks, the float64 A x and A w formed after
-    the hand-over (each only when read), exact-solve and active-set search
-    products.  `exact_solves` counts the dense factorizations: each solve of
-    an exact-solve attempt and the inverse each search starts from.
+    backtracking retries, the float64 A x and A w formed at the hand-over,
+    KKT checks, exact-solve and active-set search products.  `exact_solves`
+    counts the dense factorizations: each solve of an exact-solve attempt
+    and the inverse each search starts from.
     `polished` is True when the solve ended in the exact solve on a sign
     pattern.  `float32_iters` counts the iterations whose products ran on
     the float32 copy of A (the first gradient, -A^T y, is float64): it is
@@ -151,12 +151,29 @@ def _instance_size(cfg: ModelConfig, n: int) -> tuple[int, int]:
     return m, k
 
 
-def _check_run(cfg: ModelConfig, n: int, trials: int, seed: int) -> tuple[int, int]:
-    """The instance size (m, k); ValueError unless trials >= 1, seed >= 0 and n gives one."""
+def _support_atoms(cfg: ModelConfig, p: Prior) -> tuple[tuple[float, float], ...]:
+    """The prior's nonzero atoms, renormalized; ValueError unless their mass is cfg.kappa.
+
+    kappa sets the support size k = round(kappa n), and the theory reads the
+    prior's nonzero mass, so the two must be one number (within _PROB_TOL).
+    """
+    atoms = p.nonzero_atoms()
+    mass = sum(prob for v, prob in p.atoms if v != 0.0)
+    if abs(mass - cfg.kappa) > _PROB_TOL:
+        raise ValueError(f"the prior's nonzero mass {mass!r} differs from kappa={cfg.kappa!r} "
+                         f"by more than {_PROB_TOL}")
+    return atoms
+
+
+def _check_run(cfg: ModelConfig, p: Prior, n: int, trials: int,
+               seed: int) -> tuple[int, int]:
+    """The instance size (m, k); ValueError unless trials >= 1, seed >= 0 and (cfg, p, n)
+    give an instance."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    _support_atoms(cfg, p)
     return _instance_size(cfg, n)
 
 
@@ -168,13 +185,16 @@ def generate_instance(
 
     The support has exactly round(kappa * n) entries placed uniformly; its
     values are drawn iid from the prior conditioned on being nonzero
-    (ValueError when the prior has no nonzero atom).  A has iid N(0, 1/n)
+    (ValueError when the prior has no nonzero atom, or when its nonzero mass
+    differs from kappa by more than 1e-12: the theory reads that mass, so
+    another kappa would simulate another model).  A has iid N(0, 1/n)
     entries; y is drawn from its law given A, H = gamma A + eps G with G
     independent of A, as y = gamma A x0 + s xi, s^2 = sigma_z2 + eps^2 |x0|^2/n.
     A is written into `out` when given, which must be a writable C-contiguous
     float64 array of shape (m, n) (ValueError otherwise, before anything is
     drawn), and into a new array otherwise; the draws are the same either way.
     """
+    values, probs = zip(*_support_atoms(cfg, p))
     m, k = _instance_size(cfg, n)
     if out is None:
         A = np.empty((m, n))
@@ -187,7 +207,6 @@ def generate_instance(
     else:
         A = out
     support = np.sort(rng.choice(n, size=k, replace=False))
-    values, probs = zip(*p.nonzero_atoms())
     x0 = np.zeros(n)
     x0[support] = rng.choice(values, size=k, p=probs)
 
@@ -453,21 +472,19 @@ def solve_lasso(
     by about sqrt(n) u relative to its terms (Higham & Mary 2019), and four
     such errors add to 2 sqrt(n) u = sqrt(n) eps, with eps float32's
     machine epsilon: that is the step floor while P is the copy.  FISTA
-    hands over to A, from the same iterate and momentum, at the first of
+    hands over to A, from the same iterate and momentum with A x and A w
+    formed again from A, at the first of
       - an accepted step below that floor: float32 products cannot resolve
         a smaller one, so further float32 iterations only wander within
         rounding of the optimum of the float32 problem;
       - a check: a small objective change, a due exact solve, or max_iter.
     The hand-over comes before the check, so every KKT residual reads
     r = A x - y in float64 (the exact solves and the search form what they
-    read from A), and FISTA never goes back to float32.  The float64 A x
-    and A w are formed from A only when read: A x by a check, both by a
-    next iteration, so a hand-over whose finisher or max_iter ends the
-    solve forms neither or A x alone.  The rule has no constant of its
-    own.  The float32 phase is skipped when ||A||_F, ||y|| or their ratio
-    (the scale of x) lies outside the square roots of float32's normal
-    range: within them, A's entries, the iterates and their products stay
-    normal float32 numbers.  A and y of any real dtype are
+    read from A), and FISTA never goes back to float32.  The rule has no
+    constant of its own.  The float32 phase is skipped when ||A||_F, ||y||
+    or their ratio (the scale of x) lies outside the square roots of
+    float32's normal range: within them, A's entries, the iterates and their
+    products stay normal float32 numbers.  A and y of any real dtype are
     solved as their float64 values.
     """
     _check_positive("lam", lam)
@@ -517,12 +534,6 @@ def solve_lasso(
     float32_iters, polished = 0, None
     for iters in range(1, max_iter + 1):
         if iters > 1:
-            if Aw is None:  # the first iteration after the hand-over
-                if Ax is None:
-                    Ax = A @ x
-                    matvecs += 1
-                Aw = A @ w
-                matvecs += 1
             grad = _product(P.T, Aw - y)
             matvecs += 1
         L *= _L_SHRINK
@@ -560,15 +571,12 @@ def solve_lasso(
         finish = stable == _POLISH_AFTER and np.count_nonzero(signs) <= m
         if P is not A and (dd < dd_floor or small_change or finish or iters == max_iter):
             # float64 for good, before any check reads r; dropping the copy
-            # frees its bytes for the finisher's arrays.  A x and A w are
-            # formed from A when read: A x by a check, both by a next iteration
+            # frees its bytes for the finisher's arrays
             P, floor, float32_iters = A, _STEP_FLOOR, iters
-            Ax = Aw = None
+            Ax, Aw = A @ x, A @ w
+            matvecs += 2
+            r = Ax - y
         if small_change or iters == max_iter:
-            if Ax is None:
-                Ax = A @ x
-                matvecs += 1
-                r = Ax - y
             kkt = _kkt_residual(A.T @ r, x, lam)
             matvecs += 1
             if kkt <= kkt_gate:
@@ -653,11 +661,12 @@ def run_grid(
     time.  The reports equal, bit for bit, those of drawing and solving the
     trials one after another.  The executor is shut down, and its worker
     joined, before run_grid returns or raises, and an exception raised by a
-    draw is raised here.  Each report holds its trials as tuple columns
+    draw is raised here; a prior whose nonzero mass is not cfg.kappa is a
+    ValueError before any draw.  Each report holds its trials as tuple columns
     (mse, phi_on, phi_off, iters, kkt_residual, converged; tuples so that
     reports compare by value); non-converged runs are recorded, not dropped.
     """
-    m, _ = _check_run(cfg, n, trials, seed)
+    m, _ = _check_run(cfg, p, n, trials, seed)
     _check_positive("xi", xi)
     lambdas = tuple(lambdas)
     if not lambdas or not all(0.0 < lam < math.inf for lam in lambdas):

@@ -1,14 +1,23 @@
-"""Stress run of `solve_scalar` over a fixed-seed draw of 2,000 configurations.
+"""Stress run of the saddle solver over two fixed-seed draws of 2,000 configurations.
 
-delta in [0.05, 20], sigma_z2 in [1e-3, 10] and lambda in [1e-12, 1e5] are
-drawn log-uniform, kappa in [0.01, 0.5] and eps2 in [0, 0.9] uniform, with
-the sparse Bernoulli prior of sparsity kappa.  Every solve must return a
-saddle certified within SADDLE_TOL; the script prints the number of
-failures, the total tau and beta evaluations (`outer_iters` and
-`inner_iters_total`) and the largest per solve, where the cost of the
-Newton searches' starts shows.  It exits 1 when any solve raises
-`NonConvergenceError`.  The pytest run does not collect it (its name has no
-test_ prefix).  Run from the repository root:
+Certify phase: delta in [0.05, 20], sigma_z2 in [1e-3, 10] and lambda in
+[1e-12, 1e5] are drawn log-uniform, kappa in [0.01, 0.5] and eps2 in
+[0, 0.9] uniform, with the sparse Bernoulli prior of sparsity kappa.  Every
+`solve_scalar` must return a saddle certified within SADDLE_TOL; the script
+prints the number of failures, the total tau and beta evaluations
+(`outer_iters` and `inner_iters_total`) and the largest per solve, where the
+cost of the Newton searches' starts shows.
+
+Contract phase: delta, sigma_z2 and lambda are powers of ten from 1e-300 to
+1e300, kappa is log-uniform in [1e-12, 0.999999] and eps2 uniform in
+[0, 0.999999].  Each `predict_report` must return or raise `ValueError` or
+`NonConvergenceError`; any other exception is printed.  The MSE is not
+checked: where it lies orders of magnitude below sigma_z2, delta tau*^2 -
+sigma_z2 cancels and can read below 0.
+
+The script exits 1 when a certify-phase solve raises `NonConvergenceError`
+or a contract-phase call raises anything else.  The pytest run does not
+collect it (its name has no test_ prefix).  Run from the repository root:
 
     PYTHONPATH=src python3 tests/stress_saddle.py
 """
@@ -16,11 +25,18 @@ test_ prefix).  Run from the repository root:
 import math
 import random
 import sys
+from collections import Counter
 
-from lasso_mismatch.predictor import ModelConfig, NonConvergenceError, solve_scalar
+from lasso_mismatch.predictor import (
+    ModelConfig,
+    NonConvergenceError,
+    predict_report,
+    solve_scalar,
+)
 from lasso_mismatch.prior import sparse_bernoulli
 
 SEED = 2026
+CONTRACT_SEED = 2027
 DRAWS = 2000
 
 
@@ -40,6 +56,37 @@ def configurations():
         )
 
 
+def contract_configurations():
+    """(delta, kappa, eps2, sigma_z2, lam) at the extremes of the valid range."""
+    rng = random.Random(CONTRACT_SEED)
+    for _ in range(DRAWS):
+        yield (10.0 ** rng.randint(-300, 300),
+               min(0.999999, log_uniform(rng, 1e-12, 1.0)),
+               rng.uniform(0.0, 0.999999),
+               10.0 ** rng.randint(-300, 300),
+               10.0 ** rng.randint(-300, 300))
+
+
+def contract() -> int:
+    """Run the contract phase; the number of calls that broke the contract."""
+    outcomes = Counter()
+    broken = 0
+    for delta, kappa, eps2, sigma_z2, lam in contract_configurations():
+        try:
+            cfg = ModelConfig(delta=delta, kappa=kappa, eps2=eps2, sigma_z2=sigma_z2, lam=lam)
+            predict_report(cfg, sparse_bernoulli(kappa), 1e-3)
+            outcomes["returned"] += 1
+        except (ValueError, NonConvergenceError) as exc:
+            outcomes[type(exc).__name__] += 1
+        except Exception as exc:  # the contract allows no other kind
+            broken += 1
+            print(f"  delta={delta:g} kappa={kappa!r} eps2={eps2!r} sigma_z2={sigma_z2:g} "
+                  f"lam={lam:g}: {type(exc).__name__}: {exc}")
+    print(f"contract: {broken} of {DRAWS} broken; "
+          + ", ".join(f"{kind} {count}" for kind, count in sorted(outcomes.items())))
+    return broken
+
+
 def main() -> int:
     failed = []
     tau_evals = beta_evals = worst = 0
@@ -57,7 +104,8 @@ def main() -> int:
         print(f"  {cfg}: {exc}")
     print(f"total tau evaluations: {tau_evals}, beta evaluations: {beta_evals}")
     print(f"largest solve: {worst} evaluations (tau and beta)")
-    return 1 if failed else 0
+    broken = contract()
+    return 1 if failed or broken else 0
 
 
 if __name__ == "__main__":

@@ -365,6 +365,14 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err == "computation error: lambda=1.2: synthetic saddle failure\n"
 
+    def test_zero_tau_bracket_is_computation_error(self, capsys):
+        # the tau bracket's low end underflows to 0: this used to end in a
+        # ZeroDivisionError traceback and exit 1, the usage-error code
+        argv = "--delta 1e300 --kappa 0.1 --eps2 0.1 --sigma-z2 1e-100 --lambda-list 1"
+        assert main(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: lambda=1: tau search reached")
+
     def test_allocation_failure_is_2(self, capsys, monkeypatch):
         # a MemoryError (numpy's failed allocation) is a computation error;
         # raised by a stand-in, since a real oversized allocation may

@@ -408,6 +408,18 @@ class TestSolveScalar:
         with pytest.raises(NonConvergenceError, match=r"at delta=0\.8$"):
             solve_scalar(REF_CFG, REF_PRIOR)
 
+    @pytest.mark.parametrize("cfg, name", [
+        # lo = sqrt(sigma_z2 / delta) / 2 underflows to 0
+        (ModelConfig(delta=1e300, kappa=0.1, eps2=0.1, sigma_z2=1e-100, lam=1.0), "tau"),
+        # the beta search's floor, which scales with lam, underflows to 0
+        (ModelConfig(delta=1e-300, kappa=1e-12, eps2=0.1, sigma_z2=1e6, lam=1e-200), "beta"),
+    ], ids=["tau", "beta"])
+    def test_bracket_end_at_zero_raises(self, cfg, name):
+        # the search used to evaluate that end and raise ZeroDivisionError
+        with pytest.raises(NonConvergenceError, match=f"{name} search reached") as err:
+            predict_report(cfg, sparse_bernoulli(cfg.kappa), 1e-3)
+        assert getattr(err.value, name) == 0.0
+
     def test_residual_out_of_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(predictor, "SADDLE_TOL", 1e-30)
         with pytest.raises(NonConvergenceError, match="saddle residual"):

@@ -122,12 +122,14 @@ class TestExpectations:
 
 
 def support_draws(p, count, seed):
-    """`count` support values of one instance with n = 2 count and m = 1.
+    """`count` support values of one instance with kappa the prior's nonzero mass and m = 1.
 
-    delta = 1/n gives one measurement row, so the draw costs a 1 x n matrix.
+    n = round(count / kappa), so round(kappa n) = count; delta = 1/n gives
+    one measurement row, so the draw costs a 1 x n matrix.
     """
-    n = 2 * count
-    cfg = ModelConfig(delta=1.0 / n, kappa=0.5, eps2=0.1, sigma_z2=0.2, lam=1.0)
+    kappa = sum(w for v, w in p.atoms if v != 0.0)
+    n = round(count / kappa)
+    cfg = ModelConfig(delta=1.0 / n, kappa=kappa, eps2=0.1, sigma_z2=0.2, lam=1.0)
     inst = generate_instance(cfg, p, n, np.random.default_rng(seed))
     assert inst.A.shape == (1, n) and inst.support.size == count
     return inst.x0[inst.support]
@@ -163,5 +165,6 @@ class TestSampling:
             assert abs(frac - weight) <= 4 * se
 
     def test_all_mass_at_zero_errors(self):
+        cfg = ModelConfig(delta=0.5, kappa=0.5, eps2=0.1, sigma_z2=0.2, lam=1.0)
         with pytest.raises(ValueError, match="no nonzero atoms"):
-            support_draws(Prior(atoms=((0.0, 1.0),)), 4, 0)
+            generate_instance(cfg, Prior(atoms=((0.0, 1.0),)), 8, np.random.default_rng(0))

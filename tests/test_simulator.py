@@ -32,6 +32,8 @@ from stress_lasso import problem as stress_problem
 
 CFG = ModelConfig(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=1.201)
 PRIOR = sparse_bernoulli(0.1)
+# three signed nonzero atoms whose masses sum to CFG.kappa
+SIGNED = Prior(((-1.5, 0.03), (0.0, 0.9), (0.5, 0.05), (2.0, 0.02)))
 
 
 def lasso_objective(A, y, lam, x):
@@ -73,8 +75,11 @@ class TestGenerateInstance:
         assert np.array_equal(a.support, b.support)
 
     @pytest.mark.parametrize("n", [8, 64, 256])
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_out_matches_normal_recipe(self, n, seed):
+    @pytest.mark.parametrize("seed, prior", [
+        pytest.param(0, PRIOR, id="0"), pytest.param(5, PRIOR, id="5"),
+        pytest.param(5, SIGNED, id="signed-5"),
+    ])
+    def test_out_matches_normal_recipe(self, n, seed, prior):
         # A filled in place equals, bit for bit, the rng.normal draw it
         # replaced, and so do the draws after it; the support values equal
         # those of a draw of atom indices
@@ -82,20 +87,51 @@ class TestGenerateInstance:
         m, k = round_count(CFG.delta * n), round_count(CFG.kappa * n)
         support = np.sort(rng.choice(n, size=k, replace=False))
         x0 = np.zeros(n)
-        values, probs = zip(*PRIOR.nonzero_atoms())
+        values, probs = zip(*prior.nonzero_atoms())
         x0[support] = np.array(values)[rng.choice(len(values), size=k, p=probs)]
         A = rng.normal(0.0, 1.0 / math.sqrt(n), size=(m, n))
         s = math.sqrt(CFG.sigma_z2 + CFG.eps2 * float(x0 @ x0) / n)
         y = CFG.gamma * (A @ x0) + rng.normal(0.0, s, size=m)
         buf = np.full((m, n), np.nan)
-        into = generate_instance(CFG, PRIOR, n, np.random.default_rng(seed), out=buf)
-        fresh = generate_instance(CFG, PRIOR, n, np.random.default_rng(seed))
+        into = generate_instance(CFG, prior, n, np.random.default_rng(seed), out=buf)
+        fresh = generate_instance(CFG, prior, n, np.random.default_rng(seed))
         assert into.A is buf
         for inst in (into, fresh):
             assert inst.A.tobytes() == A.tobytes()
             assert inst.y.tobytes() == y.tobytes()
             assert inst.x0.tobytes() == x0.tobytes()
             assert np.array_equal(inst.support, support)
+
+    def test_support_values_follow_the_renormalized_masses(self):
+        # pooled over 300 instances from the trial substreams, each value's
+        # frequency on the support is its mass over kappa, within 4 SE
+        n = 64
+        draws = np.concatenate([
+            inst.x0[inst.support] for inst in (
+                generate_instance(CFG, SIGNED, n, simulator._trial_rng(3, i))
+                for i in range(300))])
+        assert draws.size == 300 * round_count(CFG.kappa * n)
+        for value, weight in SIGNED.nonzero_atoms():
+            se = math.sqrt(weight * (1.0 - weight) / draws.size)
+            assert abs(float(np.mean(draws == value)) - weight) <= 4.0 * se, value
+        assert set(np.unique(draws)) == {-1.5, 0.5, 2.0}
+
+    def test_prior_mass_must_be_kappa(self):
+        # kappa sets k = round(kappa n) and the theory reads the prior's
+        # nonzero mass: sparse_bernoulli(0.2) under kappa = 0.1 used to
+        # simulate kappa = 0.1 against a theory for 0.2
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        wide = sparse_bernoulli(0.2)
+        with pytest.raises(ValueError, match=r"nonzero mass 0\.2 differs from kappa=0\.1"):
+            generate_instance(CFG, wide, 64, rng)
+        assert rng.bit_generator.state == state
+        # run_trials goes through run_grid's check
+        with pytest.raises(ValueError, match="nonzero mass"):
+            run_trials(CFG, wide, n=64, trials=2, xi=1e-3, seed=0)
+        # a rounding-level difference is the same model
+        near = Prior(((0.0, 0.9 - 1e-13), (1.0, 0.1 + 1e-13)))
+        assert generate_instance(CFG, near, 64, rng).support.size == 6
 
     def test_out_validation(self):
         rng = np.random.default_rng(3)
@@ -396,7 +432,7 @@ class TestSolveCounts:
         # stress seed 13 hands over to float64 and then stops at max_iter.
         # Seed 600's last iteration is a small objective change that hands
         # over and misses the gate: its one KKT check also serves max_iter,
-        # and the hand-over forms only the A x that check reads, not A w
+        # after the hand-over has formed A x and A w in float64
         calls = []
         kkt_residual = simulator._kkt_residual
 
@@ -411,7 +447,7 @@ class TestSolveCounts:
         if seed == 13:
             assert 0 < res.float32_iters < res.iters
         else:
-            assert (len(calls), res.float32_iters, res.matvecs) == (1, max_iter, 52)
+            assert (len(calls), res.float32_iters, res.matvecs) == (1, max_iter, 53)
 
 
 class TestFeatureSign:
