@@ -303,12 +303,12 @@ def bracketed_root(f, lo: float, hi: float, name: str, *, start: float = math.na
                 if hi > cap:
                     raise failure(f"{name} bracket exceeded cap {cap:g}", hi)
             lo, lo_known = x, True
+        elif math.isnan(fx):
+            raise failure(f"{name} root search met a NaN", x)
         elif x == lo:  # evaluated only while f(lo) is unknown
             raise failure(f"{name} root is not above {lo:g}", lo)
         elif fx > 0.0:
             hi, hi_known = x, True
-        elif fx != 0.0:
-            raise failure(f"{name} root search met a NaN", x)
         else:
             return x, evals
         step = fx / slope if slope > 0.0 else math.nan
@@ -416,16 +416,16 @@ def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
     at tau, and beta* = beta(tau*).  The tau search starts at
     tau0 = sqrt((sigma_z^2 + E[X^2])/delta), which is tau* as lambda -> inf:
     there the estimate is zero, so delta tau*^2 - sigma_z^2 = E[X^2].  Its
-    bracket is [lo, max(2 lo, 2 tau0)], lo half of sigma_z/sqrt(delta), below
-    any achievable error scale.  The first beta root is cold (`_beta_root`);
-    each later one starts from the previous root beta, moved by
-    move = (tau - tau_prev) dbeta/dtau with the root curve's slope that
-    `_derivatives` returns fifth: at beta + move when move >= 0, and at
-    beta^2 / (beta - move), the same to first order, when the curve falls,
-    so a steep fall (as at small lambda, where beta* scales with lambda)
-    cannot carry the start to zero or below.  tau0 and the starts depend on
-    the configuration only, so each solve is independent of any other
-    lambda.  The residual is read from the tau search's last gradient
+    bracket is [lo, 2 tau0], lo half of sigma_z/sqrt(delta), below any
+    achievable error scale (tau0 >= 2 lo, so 2 tau0 > lo).  The first beta
+    root is cold (`_beta_root`); each later one starts from the previous
+    root beta, moved by move = (tau - tau_prev) dbeta/dtau with the root
+    curve's slope that `_derivatives` returns fifth: at beta + move when
+    move >= 0, and at beta^2 / (beta - move), the same to first order, when
+    the curve falls, so a steep fall (as at small lambda, where beta* scales
+    with lambda) cannot carry the start to zero or below.  tau0 and the
+    starts depend on the configuration only, so each solve is independent
+    of any other lambda.  The residual is read from the tau search's last gradient
     evaluation, at (tau*, beta*).  Raises NonConvergenceError when a root
     search fails or the scaled residual exceeds SADDLE_TOL * D(tau*, beta*);
     that message names delta, and says so when the tau slope (about
@@ -447,7 +447,7 @@ def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
 
     lo = 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta)
     tau0 = math.sqrt((cfg.sigma_z2 + p.second_moment()) / cfg.delta)
-    tau, outer_evals = bracketed_root(d_tau, lo, max(2.0 * lo, 2.0 * tau0), "tau", start=tau0)
+    tau, outer_evals = bracketed_root(d_tau, lo, 2.0 * tau0, "tau", start=tau0)
     g_tau, g_beta, _, slope, _ = last
     value = objective_D(tau, beta, cfg, p)
     residual = (abs(tau * g_tau), abs(beta * g_beta))

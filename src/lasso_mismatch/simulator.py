@@ -26,10 +26,11 @@ iteration.
 The Monte Carlo loop runs over trials first, then over lambda: instances do
 not depend on lambda, so each trial draws its instance once, from a
 deterministically derived per-trial random substream, and solves the whole
-lambda grid on it with independent (not warm-started) solves.  While one
-trial is solved, the one worker thread of a `concurrent.futures` executor
-draws the next trial's instance into the other of two matrix buffers the
-run reuses, so at most two instances are alive at a time.  Results are
+lambda grid on it with independent (not warm-started) solves.  The one
+worker thread of a `concurrent.futures` executor draws every instance, the
+next trial's while one is solved, into the other of two matrix buffers the
+run reuses, so at most two instances are alive at a time; one helper states
+the instance law for the run's checks and for each draw.  Results are
 reproducible bit for bit regardless of the grid that contains a lambda, and
 equal those of drawing and solving the trials one after another.
 """
@@ -132,11 +133,22 @@ class EmpiricalReport:
         return self.converged.count(False)
 
 
-def _instance_size(cfg: ModelConfig, n: int) -> tuple[int, int]:
-    """(m, k) = (round(delta n), round(kappa n)); ValueError unless n >= 8, m >= 1, 1 <= k < n.
+def _instance_law(cfg: ModelConfig, p: Prior,
+                  n: int) -> tuple[int, int, tuple[float, ...], tuple[float, ...]]:
+    """(m, k, values, probs): m = round(delta n) rows, k = round(kappa n) support
+    entries, and the prior's nonzero atoms with their renormalized masses.
 
-    Also ValueError when delta n or kappa n is not a finite float.
+    ValueError, in this order, when the prior has no nonzero atom, when its
+    nonzero mass differs from cfg.kappa by more than _PROB_TOL (kappa sets k,
+    and the theory reads that mass, so the two must be one number), when
+    n < 8, when delta n or kappa n is not a finite float, when m < 1, and
+    unless 1 <= k < n.
     """
+    values, probs = zip(*p.nonzero_atoms())
+    mass = sum(prob for v, prob in p.atoms if v != 0.0)
+    if abs(mass - cfg.kappa) > _PROB_TOL:
+        raise ValueError(f"the prior's nonzero mass {mass!r} differs from kappa={cfg.kappa!r} "
+                         f"by more than {_PROB_TOL}")
     if n < 8:
         raise ValueError(f"n must be at least 8, got {n}")
     try:
@@ -148,33 +160,17 @@ def _instance_size(cfg: ModelConfig, n: int) -> tuple[int, int]:
         raise ValueError(f"measurement count m={m} = round(delta n) must be at least 1, n={n}")
     if k < 1 or k >= n:
         raise ValueError(f"support size k={k} = round(kappa n) out of range for n={n}")
-    return m, k
+    return m, k, values, probs
 
 
-def _support_atoms(cfg: ModelConfig, p: Prior) -> tuple[tuple[float, float], ...]:
-    """The prior's nonzero atoms, renormalized; ValueError unless their mass is cfg.kappa.
-
-    kappa sets the support size k = round(kappa n), and the theory reads the
-    prior's nonzero mass, so the two must be one number (within _PROB_TOL).
-    """
-    atoms = p.nonzero_atoms()
-    mass = sum(prob for v, prob in p.atoms if v != 0.0)
-    if abs(mass - cfg.kappa) > _PROB_TOL:
-        raise ValueError(f"the prior's nonzero mass {mass!r} differs from kappa={cfg.kappa!r} "
-                         f"by more than {_PROB_TOL}")
-    return atoms
-
-
-def _check_run(cfg: ModelConfig, p: Prior, n: int, trials: int,
-               seed: int) -> tuple[int, int]:
-    """The instance size (m, k); ValueError unless trials >= 1, seed >= 0 and (cfg, p, n)
+def _check_run(cfg: ModelConfig, p: Prior, n: int, trials: int, seed: int) -> int:
+    """The instance's row count m; ValueError unless trials >= 1, seed >= 0 and (cfg, p, n)
     give an instance."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    _support_atoms(cfg, p)
-    return _instance_size(cfg, n)
+    return _instance_law(cfg, p, n)[0]
 
 
 def generate_instance(
@@ -194,8 +190,7 @@ def generate_instance(
     float64 array of shape (m, n) (ValueError otherwise, before anything is
     drawn), and into a new array otherwise; the draws are the same either way.
     """
-    values, probs = zip(*_support_atoms(cfg, p))
-    m, k = _instance_size(cfg, n)
+    m, k, values, probs = _instance_law(cfg, p, n)
     if out is None:
         A = np.empty((m, n))
     elif (out.shape != (m, n) or out.dtype != np.float64 or not out.flags.c_contiguous
@@ -613,10 +608,11 @@ def empirical_metrics(x_hat: np.ndarray, inst: Instance,
     n = inst.x0.shape[0]
     k = inst.support.shape[0]
     mse = float(np.sum((x_hat - inst.x0) ** 2)) / n
-    off_mask = np.ones(n, dtype=bool)
-    off_mask[inst.support] = False
-    phi_on = float(np.count_nonzero(np.abs(x_hat[inst.support]) >= xi)) / k
-    phi_off = float(np.count_nonzero(np.abs(x_hat[off_mask]) <= xi)) / (n - k)
+    on = np.abs(x_hat[inst.support])
+    phi_on = float(np.count_nonzero(on >= xi)) / k
+    # the off-support entries at most xi: all such entries less those on the support
+    off_small = np.count_nonzero(np.abs(x_hat) <= xi) - np.count_nonzero(on <= xi)
+    phi_off = float(off_small) / (n - k)
     return mse, phi_on, phi_off
 
 
@@ -654,19 +650,19 @@ def run_grid(
     draws its instance once, from a random substream derived from (seed,
     trial index), and solves every lambda on it.  Each solve is independent
     of the others, so a report is identical for any grid that contains its
-    lambda.  Trials are solved in order on the calling thread, which also
-    draws trial 0; while trial i is solved, the one worker thread of a
-    `ThreadPoolExecutor` draws trial i + 1 into the other of two m x n
-    buffers allocated once per run, so at most two instances are alive at a
-    time.  The reports equal, bit for bit, those of drawing and solving the
-    trials one after another.  The executor is shut down, and its worker
+    lambda.  Trials are solved in order on the calling thread and all drawn
+    on the one worker thread of a `ThreadPoolExecutor`: while trial i is
+    solved, the worker draws trial i + 1 into the other of two m x n buffers
+    allocated once per run, so at most two instances are alive at a time.
+    The reports equal, bit for bit, those of drawing and solving the trials
+    one after another.  The executor is shut down, and its worker
     joined, before run_grid returns or raises, and an exception raised by a
     draw is raised here; a prior whose nonzero mass is not cfg.kappa is a
     ValueError before any draw.  Each report holds its trials as tuple columns
     (mse, phi_on, phi_off, iters, kkt_residual, converged; tuples so that
     reports compare by value); non-converged runs are recorded, not dropped.
     """
-    m, _ = _check_run(cfg, p, n, trials, seed)
+    m = _check_run(cfg, p, n, trials, seed)
     _check_positive("xi", xi)
     lambdas = tuple(lambdas)
     if not lambdas or not all(0.0 < lam < math.inf for lam in lambdas):
@@ -682,17 +678,17 @@ def run_grid(
     from concurrent.futures import ThreadPoolExecutor
 
     cells: list[list[tuple]] = [[] for _ in lambdas]
-    inst = draw(0)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="lasso-mismatch-draw") as pool:
+        ahead = pool.submit(draw, 0)
         for i in range(trials):
-            # trial i - 1 is no longer referenced, so its buffer is free
-            ahead = pool.submit(draw, i + 1) if i + 1 < trials else None
+            # once inst moves on, trial i - 1 is no longer referenced, so its buffer is free
+            inst = ahead.result()
+            if i + 1 < trials:
+                ahead = pool.submit(draw, i + 1)
             for lam, cell in zip(lambdas, cells):
                 res = solve_lasso(inst.A, inst.y, lam)
                 cell.append((*empirical_metrics(res.x_hat, inst, xi),
                              res.iters, res.kkt_residual, res.converged))
-            if ahead is not None:
-                inst = ahead.result()
     return tuple(_report(cell) for cell in cells)
 
 

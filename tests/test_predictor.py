@@ -245,6 +245,14 @@ class TestBracketedRoot:
         with pytest.raises(NonConvergenceError, match="within 5 evaluations"):
             bracketed_root(_cube, 0.5, 1.0, "tau")
 
+    @pytest.mark.parametrize("start", [math.nan, 1.5])
+    def test_nan_is_named_at_the_bracket_low_end_too(self, start):
+        # without a start the first point is lo, where a NaN is no evidence
+        # that the root lies at or below lo
+        with pytest.raises(NonConvergenceError, match="met a NaN") as err:
+            bracketed_root(lambda x: (math.nan, 1.0), 1.0, 2.0, "tau", start=start)
+        assert err.value.tau == (1.0 if math.isnan(start) else 1.5)
+
 
 def _central_gradient(tau, beta, cfg, p, h=1e-5):
     """(dD/dtau, dD/dbeta) by central differences of objective_D at relative step h."""

@@ -882,6 +882,14 @@ class TestEmpiricalMetrics:
         assert phi_on == 1.0          # |1.0| >= 0.5
         assert phi_off == pytest.approx(2.0 / 3.0)  # 0.4 and 0.0 pass, 0.6 fails
 
+    def test_entries_at_xi_count_in_both_rates(self):
+        # |x_hat| == xi passes both tests: >= xi on the support, <= xi off it
+        inst = self._tiny_instance()
+        x_hat = np.array([-0.5, 0.5, 0.5, 0.7])
+        _, phi_on, phi_off = empirical_metrics(x_hat, inst, xi=0.5)
+        assert phi_on == 1.0
+        assert phi_off == 2.0 / 3.0  # -0.5 and 0.5 pass, 0.7 fails
+
     def test_counts_are_rational_with_right_denominator(self):
         rng = np.random.default_rng(6)
         inst = generate_instance(CFG, PRIOR, 64, rng)
@@ -1046,9 +1054,9 @@ class TestRunGrid:
         assert info.value is boom
         assert len(drawn) == 3
         assert threading.active_count() == before
-        # trial 0 is drawn on the calling thread, the others on helpers
-        assert drawn[0] is threading.current_thread()
-        assert not any(t.is_alive() for t in drawn[1:])
+        # every trial is drawn on the worker, which is joined
+        assert all(t.name.startswith("lasso-mismatch-draw") for t in drawn)
+        assert not any(t.is_alive() for t in drawn)
 
     def test_solve_error_joins_helper(self, monkeypatch):
         drawn = []
@@ -1074,9 +1082,24 @@ class TestRunGrid:
         # the fifth solve is in trial 1, while trial 2 is drawn
         assert len(drawn) == 3
         assert threading.active_count() == before
-        # trial 0 is drawn on the calling thread, the others on helpers
-        assert drawn[0] is threading.current_thread()
-        assert not any(t.is_alive() for t in drawn[1:])
+        # every trial is drawn on the worker, which is joined
+        assert all(t.name.startswith("lasso-mismatch-draw") for t in drawn)
+        assert not any(t.is_alive() for t in drawn)
+
+    def test_single_trial_is_drawn_on_a_joined_worker(self, monkeypatch):
+        drawn = []
+
+        def drawing(*args, **kwargs):
+            drawn.append(threading.current_thread())
+            return generate_instance(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "generate_instance", drawing)
+        before = threading.active_count()
+        run_grid(CFG, PRIOR, n=64, trials=1, xi=1e-3, seed=2, lambdas=self.GRID)
+        assert len(drawn) == 1
+        assert drawn[0].name.startswith("lasso-mismatch-draw")
+        assert not drawn[0].is_alive()
+        assert threading.active_count() == before
 
     def test_package_resolves_simulator_names_on_first_use(self):
         import lasso_mismatch
