@@ -16,7 +16,7 @@ from .kernels import *  # noqa: F401,F403
 from .predictor import *  # noqa: F401,F403
 from .prior import *  # noqa: F401,F403
 
-# simulator.__all__, which a test keeps equal to this
+# the simulator's __all__, listed here so the names resolve without importing numpy
 _SIMULATOR_NAMES = (
     "Instance",
     "LassoResult",

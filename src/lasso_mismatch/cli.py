@@ -47,40 +47,27 @@ CSV_COLUMNS = (
     "phi_off_emp_se",
     "nonconverged_trials",
 )
-_COLUMN_SET = frozenset(CSV_COLUMNS)
 
 
 class SweepRow(Mapping):
     """One output row: a read-only mapping from each CSV column to its value or None.
 
-    The rows of a sweep share its columns, one array for each column that
-    the mode fills (doubles; integers for nonconverged_trials), so a row
-    costs about 50 bytes plus 8 per filled column, where a dict of 13 keys
-    and its floats costs about 600.
+    The rows of a sweep share its column map, which holds every CSV column:
+    an array for each column that the mode fills (doubles; integers for
+    nonconverged_trials) and None for the rest.  So a row costs about 50
+    bytes plus 8 per filled column, where a dict of 13 keys and its floats
+    costs about 600.
     """
 
     __slots__ = ("_columns", "_index")
 
-    def __init__(self, columns: dict[str, array], index: int) -> None:
+    def __init__(self, columns: dict[str, array | None], index: int) -> None:
         self._columns = columns
         self._index = index
 
     def __getitem__(self, col: str):
-        if col not in _COLUMN_SET:
-            raise KeyError(col)
-        column = self._columns.get(col)
+        column = self._columns[col]
         return None if column is None else column[self._index]
-
-    def get(self, col: str, default=None):
-        """The value of column col, None if the mode left it empty, default if no such column.
-
-        Mapping.get's own version goes through __getitem__ and a try block;
-        emit_csv reads every cell this way.
-        """
-        column = self._columns.get(col)
-        if column is not None:
-            return column[self._index]
-        return None if col in _COLUMN_SET else default
 
     def __iter__(self):
         return iter(CSV_COLUMNS)
@@ -266,8 +253,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     # SweepSpec has checked the model and every lambda
     base = ModelConfig(delta=spec.delta, kappa=spec.kappa, eps2=spec.eps2,
                        sigma_z2=spec.sigma_z2, lam=grid[0])
-    # the mode fills a column in every row or in none
-    columns = {"lambda": array("d", grid)}
+    # every column, filled in every row or in none
+    columns: dict[str, array | None] = dict.fromkeys(CSV_COLUMNS)
+    columns["lambda"] = array("d", grid)
     if spec.mode in ("theory", "both"):
         predictions = []
         for lam in grid:

@@ -42,21 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _SIMULATOR_NAMES
 from .kernels import _check_positive
 from .predictor import ModelConfig
 from .prior import _PROB_TOL, Prior
 
-__all__ = [
-    "Instance",
-    "LassoResult",
-    "EmpiricalReport",
-    "round_count",
-    "generate_instance",
-    "solve_lasso",
-    "empirical_metrics",
-    "run_grid",
-    "run_trials",
-]
+# the package lists these names, so that it can resolve them without importing this module
+__all__ = list(_SIMULATOR_NAMES)
 
 
 def round_count(x: float) -> int:
@@ -673,8 +665,8 @@ def run_grid(
     def draw(i: int) -> Instance:
         return generate_instance(cfg, p, n, _trial_rng(seed, i), out=buffers[i % 2])
 
-    # imported here: concurrent.futures loads logging, which would add to
-    # every interpreter start that imports the package
+    # imported here: concurrent.futures loads logging, about 4 ms that every
+    # import of this module would pay, a simulate-mode SweepSpec's check among them
     from concurrent.futures import ThreadPoolExecutor
 
     cells: list[list[tuple]] = [[] for _ in lambdas]

@@ -1104,21 +1104,31 @@ class TestRunGrid:
     def test_package_resolves_simulator_names_on_first_use(self):
         import lasso_mismatch
 
-        assert lasso_mismatch._SIMULATOR_NAMES == tuple(simulator.__all__)
         for name in simulator.__all__:
             assert getattr(lasso_mismatch, name) is getattr(simulator, name)
         with pytest.raises(AttributeError, match="no_such_name"):
             lasso_mismatch.no_such_name
 
-    def test_package_import_loads_no_executor(self):
-        # run_grid imports concurrent.futures itself, so the logging it loads
-        # costs nothing to an interpreter that only imports the package
-        code = ("import sys, lasso_mismatch, lasso_mismatch.cli; "
-                "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    @staticmethod
+    def _fresh_interpreter(code: str) -> str:
         src = os.path.dirname(os.path.dirname(os.path.abspath(simulator.__file__)))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_simulator_import_loads_no_executor(self):
+        # run_grid imports concurrent.futures itself, so the logging it loads
+        # costs nothing to an interpreter that imports the simulator but
+        # runs no grid, as a simulate-mode SweepSpec's check does
+        code = ("import sys, lasso_mismatch.cli, lasso_mismatch.simulator; "
+                "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+        assert self._fresh_interpreter(code) == "[]"
+
+    def test_package_resolves_the_simulator_module_on_first_use(self):
+        code = ("import sys, lasso_mismatch; before = 'numpy' in sys.modules; "
+                "solve = lasso_mismatch.simulator.solve_lasso; "
+                "print(before, solve.__module__, 'numpy' in sys.modules)")
+        assert self._fresh_interpreter(code) == "False lasso_mismatch.simulator True"
 
     def test_bad_size_fails_before_any_instance(self, monkeypatch):
         calls = self._count_instances(monkeypatch)
