@@ -17,6 +17,11 @@ the piecewise definitions.  With u+ = (chi - mu) / tau and u- = (-chi - mu) / ta
     E|eta(mu + tau*H; chi)| = (mu - chi) Q(u+) + tau phi(u+)
                             - (mu + chi) Q(-u-) + tau phi(u-)
 
+    E[(eta(mu + tau*H; chi) - v)^2]
+        = c^2 Q(u+) + 2 c tau phi(u+) + tau^2 (Q(u+) + u+ phi(u+))
+        + d^2 Q(-u-) - 2 d tau phi(u-) + tau^2 (Q(-u-) - u- phi(u-))
+        + v^2 (Q(u-) - Q(u+)),      c = mu - chi - v,  d = mu + chi - v
+
     P(|mu + tau*H| <= chi)  = Q(u-) - Q(u+)
 
     d/dchi P(|a| <= chi)    = (phi(u+) + phi(u-)) / tau
@@ -34,7 +39,6 @@ import math
 __all__ = [
     "soft_threshold",
     "soft_threshold_value",
-    "std_normal_pdf",
     "q_function",
     "gauss_expect_e",
     "gauss_expect_eta",
@@ -91,11 +95,6 @@ def _q(x: float) -> float:
     return 0.5 * math.erfc(x * _INV_SQRT2)
 
 
-def std_normal_pdf(x: float) -> float:
-    """phi(x) = exp(-x^2/2) / sqrt(2 pi)."""
-    return _pdf(_check_finite("x", x))
-
-
 def q_function(x: float) -> float:
     """Standard normal tail Q(x) = P[N(0,1) > x], via the complementary error function."""
     return _q(_check_finite("x", x))
@@ -132,6 +131,23 @@ def _gauss_moments(mu: float, tau: float, chi: float) -> tuple[float, float, flo
     )
     abs_eta = (mu - chi) * q_up + tau * p_up - (mu + chi) * q_mum + tau * p_um
     return upper + dead + lower, abs_eta, q_um - q_up, (p_up + p_um) / tau, tails / tau
+
+
+def _gauss_sq_error(mu: float, tau: float, chi: float, v: float) -> float:
+    """E[(eta(a; chi) - v)^2] for a = mu + tau*H, summed over the three branches of eta.
+
+    Arguments are not checked; predict_mse checks tau and chi once per call.
+    """
+    up = (chi - mu) / tau
+    um = (-chi - mu) / tau
+    q_up, q_um, q_mum, p_up, p_um = _q(up), _q(um), _q(-um), _pdf(up), _pdf(um)
+    c, d = mu - chi - v, mu + chi - v
+    # a > chi and a < -chi branches, then the dead zone where eta = 0
+    return (
+        c * c * q_up + 2.0 * c * tau * p_up + tau * tau * (q_up + up * p_up)
+        + d * d * q_mum - 2.0 * d * tau * p_um + tau * tau * (q_mum - um * p_um)
+        + v * v * (q_um - q_up)
+    )
 
 
 def gauss_expect_e(mean: float, spread: float, threshold: float) -> float:

@@ -38,8 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .kernels import _check_positive, q_function
-from .prior import Prior, _prior_moments, prior_expect_e, prior_expect_eta_x0
+from .kernels import _check_positive, _gauss_sq_error, q_function
+from .prior import Prior, _prior_moments, prior_expect_e
 
 __all__ = [
     "ModelConfig",
@@ -463,14 +463,15 @@ def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
 
 
 def predict_mse(sol: ScalarSolution, cfg: ModelConfig, p: Prior) -> float:
-    """Limiting mean squared error at the saddle point.
+    """Limiting mean squared error E[(eta(gamma*X + tau* H; chi*) - X)^2], chi* = 2 lam tau*/beta*.
 
-    delta*tau*^2 - sigma_z^2 plus a correction proportional to (gamma - 1)
-    that vanishes when the measurement matrix is perfectly known.
+    Summed over the prior's atoms in closed form with nothing subtracted: delta*tau*^2 -
+    sigma_z^2 + 2 (gamma - 1) E[eta X] is equal at the saddle but cancels where the MSE lies
+    far below sigma_z^2.  ValueError unless tau* and chi* are positive and finite.
     """
-    chi = 2.0 * cfg.lam * sol.tau_star / sol.beta_star
-    correction = 2.0 * (cfg.gamma - 1.0) * prior_expect_eta_x0(p, cfg.gamma, sol.tau_star, chi)
-    return cfg.delta * sol.tau_star ** 2 - cfg.sigma_z2 + correction
+    tau = _check_positive("tau", sol.tau_star)
+    chi = _check_positive("chi", 2.0 * cfg.lam * tau / sol.beta_star)
+    return sum(prob * _gauss_sq_error(cfg.gamma * v, tau, chi, v) for v, prob in p.atoms)
 
 
 def predict_support(

@@ -10,14 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .kernels import _check_positive, _gauss_moments, gauss_expect_eta
+from .kernels import _check_positive, _gauss_moments
 
-__all__ = [
-    "Prior",
-    "sparse_bernoulli",
-    "prior_expect_e",
-    "prior_expect_eta_x0",
-]
+__all__ = ["Prior", "sparse_bernoulli", "prior_expect_e"]
 
 _PROB_TOL = 1e-12
 
@@ -75,30 +70,16 @@ def sparse_bernoulli(kappa: float) -> Prior:
     return Prior(atoms=((0.0, 1.0 - kappa), (1.0, kappa)))
 
 
-def _check_args(gamma: float, tau: float, chi: float) -> None:
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    _check_positive("tau", tau)
-    _check_positive("chi", chi)
-
-
 def prior_expect_e(p: Prior, gamma: float, tau: float, chi: float) -> float:
     """E[e(gamma*X + tau*H; chi)] with X from the prior, H standard normal.
 
     Expands to the probability-weighted sum of per-atom Gaussian expectations.
     """
-    _check_args(gamma, tau, chi)
+    if not (0.0 < gamma <= 1.0):
+        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+    _check_positive("tau", tau)
+    _check_positive("chi", chi)
     return _prior_moments(p, gamma, tau, chi)[0]
-
-
-def prior_expect_eta_x0(p: Prior, gamma: float, tau: float, chi: float) -> float:
-    """E[eta(gamma*X + tau*H; chi) * X]; the zero atom contributes nothing."""
-    _check_args(gamma, tau, chi)
-    return sum(
-        prob * v * gauss_expect_eta(gamma * v, tau, chi)
-        for v, prob in p.atoms
-        if v != 0.0
-    )
 
 
 def _prior_moments(

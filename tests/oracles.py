@@ -2,7 +2,10 @@
 
 The quadrature oracle integrates the scalar shrinkage functions against the
 standard normal density by adaptive Simpson on [-12, 12]; the truncated tail
-mass is far below the tolerances in play.  The nested golden-section saddle
+mass is far below the tolerances in play.  The squared-error oracle splits
+its integral where the shrinkage kinks and resolves each piece to its own
+size, so a piece that lies in a far Gaussian tail keeps its relative
+accuracy.  The nested golden-section saddle
 search minimizes over tau the maximum over beta of a given objective, by
 derivative-free bracket searches, as a reference for the gradient-root
 saddle solver, and bisection on a central difference locates a 1-D
@@ -93,6 +96,38 @@ def oracle_expect_abs_eta(mu: float, tau: float, chi: float, tol: float = 1e-11)
 def oracle_prob_inside(mu: float, tau: float, chi: float, tol: float = 1e-11) -> float:
     """Quadrature value of P(|mu + tau*H| <= chi): phi integrated over the dead zone."""
     return adaptive_simpson(_phi, (-chi - mu) / tau, (chi - mu) / tau, tol)
+
+
+def _relative_simpson(f, a: float, b: float, rel: float, panels: int = 64) -> float:
+    """Adaptive Simpson of f over [a, b] to rel times the integral's own size.
+
+    One Simpson step per panel sizes the integral first; each panel is then
+    refined on its own, so a peak narrower than [a, b] is not stepped over.
+    0 when [a, b] is empty or the sizing pass reads 0.
+    """
+    if a >= b:
+        return 0.0
+    edges = np.linspace(a, b, panels + 1).tolist()
+    rough = sum(_simpson(f(x0), f(0.5 * (x0 + x1)), f(x1), x0, x1)
+                for x0, x1 in zip(edges[:-1], edges[1:]))
+    if not rough:
+        return 0.0
+    tol = rel * abs(rough) / panels
+    return sum(adaptive_simpson(f, x0, x1, tol) for x0, x1 in zip(edges[:-1], edges[1:]))
+
+
+def oracle_sq_error(mu: float, tau: float, chi: float, v: float, rel: float = 1e-13) -> float:
+    """Quadrature value of E_H[(eta(mu + tau*H; chi) - v)^2], to relative accuracy rel.
+
+    The three pieces are H below (-chi - mu)/tau, where eta = a + chi, the
+    dead zone, where eta = 0, and H above (chi - mu)/tau, where eta = a - chi;
+    past |H| = 40 the density underflows to 0.
+    """
+    lo, hi = (-chi - mu) / tau, (chi - mu) / tau
+    lo_c, hi_c = min(max(lo, -40.0), 40.0), min(max(hi, -40.0), 40.0)
+    return (_relative_simpson(lambda h: (mu + tau * h + chi - v) ** 2 * _phi(h), -40.0, lo_c, rel)
+            + v * v * _relative_simpson(_phi, lo_c, hi_c, rel)
+            + _relative_simpson(lambda h: (mu + tau * h - chi - v) ** 2 * _phi(h), hi_c, 40.0, rel))
 
 
 def _clipped_simpson(f, a: float, b: float, tol: float) -> float:

@@ -11,13 +11,14 @@ cost of the Newton searches' starts shows.
 Contract phase: delta, sigma_z2 and lambda are powers of ten from 1e-300 to
 1e300, kappa is log-uniform in [1e-12, 0.999999] and eps2 uniform in
 [0, 0.999999].  Each `predict_report` must return or raise `ValueError` or
-`NonConvergenceError`; any other exception is printed.  The MSE is not
-checked: where it lies orders of magnitude below sigma_z2, delta tau*^2 -
-sigma_z2 cancels and can read below 0.
+`NonConvergenceError`, and a returned report must have a finite MSE >= 0,
+also where the MSE lies orders of magnitude below sigma_z2; any other
+exception, and any other MSE, is printed.
 
 The script exits 1 when a certify-phase solve raises `NonConvergenceError`
-or a contract-phase call raises anything else.  The pytest run does not
-collect it (its name has no test_ prefix).  Run from the repository root:
+or a contract-phase call raises anything else or returns another MSE.  The
+pytest run does not collect it (its name has no test_ prefix).  Run from the
+repository root:
 
     PYTHONPATH=src python3 tests/stress_saddle.py
 """
@@ -74,14 +75,20 @@ def contract() -> int:
     for delta, kappa, eps2, sigma_z2, lam in contract_configurations():
         try:
             cfg = ModelConfig(delta=delta, kappa=kappa, eps2=eps2, sigma_z2=sigma_z2, lam=lam)
-            predict_report(cfg, sparse_bernoulli(kappa), 1e-3)
-            outcomes["returned"] += 1
+            mse = predict_report(cfg, sparse_bernoulli(kappa), 1e-3).mse
         except (ValueError, NonConvergenceError) as exc:
             outcomes[type(exc).__name__] += 1
+            continue
         except Exception as exc:  # the contract allows no other kind
-            broken += 1
-            print(f"  delta={delta:g} kappa={kappa!r} eps2={eps2!r} sigma_z2={sigma_z2:g} "
-                  f"lam={lam:g}: {type(exc).__name__}: {exc}")
+            problem = f"{type(exc).__name__}: {exc}"
+        else:
+            outcomes["returned"] += 1
+            if 0.0 <= mse < math.inf:
+                continue
+            problem = f"returned MSE {mse!r}"
+        broken += 1
+        print(f"  delta={delta:g} kappa={kappa!r} eps2={eps2!r} sigma_z2={sigma_z2:g} "
+              f"lam={lam:g}: {problem}")
     print(f"contract: {broken} of {DRAWS} broken; "
           + ", ".join(f"{kind} {count}" for kind, count in sorted(outcomes.items())))
     return broken

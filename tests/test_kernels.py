@@ -2,12 +2,14 @@
 and closed-form Gaussian expectations against the quadrature oracle."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from lasso_mismatch.kernels import (
     _gauss_moments,
+    _gauss_sq_error,
     _pdf,
     _q,
     gauss_expect_e,
@@ -15,9 +17,14 @@ from lasso_mismatch.kernels import (
     q_function,
     soft_threshold,
     soft_threshold_value,
-    std_normal_pdf,
 )
-from oracles import oracle_expect_abs_eta, oracle_expect_e, oracle_expect_eta, oracle_prob_inside
+from oracles import (
+    oracle_expect_abs_eta,
+    oracle_expect_e,
+    oracle_expect_eta,
+    oracle_prob_inside,
+    oracle_sq_error,
+)
 
 # frozen oracle values (adaptive Simpson, tol 1e-11)
 ORACLE_E_0_1_HALF = 0.2903607399748979        # mu=0, tau=1, chi=0.5
@@ -94,9 +101,9 @@ class TestSoftThresholdValue:
 
 class TestNormalFunctions:
     def test_pdf_values(self):
-        assert std_normal_pdf(0.0) == pytest.approx(0.3989422804, abs=1e-10)
-        assert std_normal_pdf(1.0) == pytest.approx(0.2419707245, abs=1e-10)
-        assert std_normal_pdf(-1.0) == std_normal_pdf(1.0)
+        assert _pdf(0.0) == pytest.approx(0.3989422804, abs=1e-10)
+        assert _pdf(1.0) == pytest.approx(0.2419707245, abs=1e-10)
+        assert _pdf(-1.0) == _pdf(1.0)
 
     def test_q_values(self):
         assert q_function(0.0) == 0.5
@@ -108,8 +115,6 @@ class TestNormalFunctions:
             assert q_function(x) + q_function(-x) == pytest.approx(1.0, abs=1e-14)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            std_normal_pdf(float("inf"))
         with pytest.raises(ValueError):
             q_function(float("nan"))
 
@@ -200,6 +205,27 @@ class TestGaussExpectations:
                         worst[i] = max(worst[i], abs(got[i] - oracle(mu, tau, chi)))
                     assert got[0] == gauss_expect_e(mu, tau, chi)
         assert max(worst) <= 1e-9, worst
+
+    def test_sq_error_matches_oracle_grid(self):
+        # E[(eta - v)^2] relative to its own size, also where a tail mass
+        # Q(u+-) is below 1e-10.  There the closed form's branch terms cancel
+        # to about 1/u^4 of their size, and phi(u) carries u^2/2 ulps of its
+        # exponent, so it keeps about u^6 eps / 2: 5.5e-11 at u = 10, where
+        # the grid stops.
+        rtol = 1e6 * sys.float_info.epsilon
+        far_tails = 0
+        for mu in (0.0, 0.5, -1.5, 4.0):
+            for tau in (0.1, 0.5, 2.0):
+                for chi in (0.05, 0.5, 1.0, 3.0):
+                    up, um = (chi - mu) / tau, (-chi - mu) / tau
+                    if min(abs(up), abs(um)) > 10.0:
+                        continue
+                    far_tails += min(_q(up), _q(-um)) < 1e-10
+                    for v in (0.0, 1.0):
+                        got = _gauss_sq_error(mu, tau, chi, v)
+                        want = oracle_sq_error(mu, tau, chi, v)
+                        assert abs(got - want) <= rtol * want, (mu, tau, chi, v, got, want)
+        assert far_tails, "the grid reaches no far tail"
 
     def test_inside_partials_match_central_differences(self):
         # d/dchi and d/dtau of P(|a| <= chi), from its oracle at relative step 1e-5

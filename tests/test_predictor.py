@@ -577,18 +577,41 @@ class TestPredictions:
         for lam in (0.101, 0.601, 1.201, 3.001):
             cfg = REF_CFG.with_lam(lam)
             sol = solve_scalar(cfg, REF_PRIOR)
-            assert predict_mse(sol, cfg, REF_PRIOR) >= -1e-9
+            assert predict_mse(sol, cfg, REF_PRIOR) >= 0.0
+
+    def test_mse_nonnegative_far_below_the_noise(self):
+        # sigma_z2 / delta is 1e255, below the rounding of sigma_z2 (about
+        # 2e260): delta tau*^2 - sigma_z2 read -2.46e260 here
+        cfg = ModelConfig(delta=1e21, kappa=0.23702028681197687, eps2=0.5308594162069696,
+                          sigma_z2=1e276, lam=1e-219)
+        mse = predict_report(cfg, sparse_bernoulli(cfg.kappa), 1e-3).mse
+        assert 0.0 <= mse < math.inf
+
+    def test_mse_rejects_a_saddle_off_the_domain(self):
+        cfg = ModelConfig(delta=0.8, kappa=0.1, eps2=0.2, sigma_z2=0.2, lam=1.0)
+        sol = solve_scalar(cfg, REF_PRIOR)
+        with pytest.raises(ValueError, match="tau"):
+            predict_mse(replace(sol, tau_star=math.nan), cfg, REF_PRIOR)
+        with pytest.raises(ValueError, match="chi"):
+            predict_mse(replace(sol, beta_star=math.inf), cfg, REF_PRIOR)
+
+    @staticmethod
+    def identity_gap_bound(sol):
+        # At gamma = 1, delta tau^2 - sigma_z2 - MSE is 2 tau^2 dD/dtau / beta,
+        # and the certificate bounds |tau dD/dtau| by SADDLE_TOL * D.
+        return 2.0 * sol.tau_star * SADDLE_TOL * sol.objective / sol.beta_star
 
     def test_perfect_knowledge_correction_is_zero(self):
         cfg = ModelConfig(delta=0.8, kappa=0.1, eps2=0.0, sigma_z2=0.2, lam=1.0)
         sol = solve_scalar(cfg, REF_PRIOR)
         mse = predict_mse(sol, cfg, REF_PRIOR)
-        assert mse == cfg.delta * sol.tau_star ** 2 - cfg.sigma_z2
+        gap = mse - (cfg.delta * sol.tau_star ** 2 - cfg.sigma_z2)
+        assert abs(gap) <= self.identity_gap_bound(sol)
 
     def test_perfect_knowledge_reduction_exact(self):
         # an independently assembled perfect-knowledge pipeline, built from the
         # same root primitive and the reduced gradient and slopes, must agree
-        # bitwise
+        # bitwise on the saddle, and the MSE must meet delta tau*^2 - sigma_z2
         cfg = ModelConfig(delta=0.8, kappa=0.1, eps2=0.0, sigma_z2=0.2, lam=1.0)
         p = REF_PRIOR
 
@@ -638,7 +661,8 @@ class TestPredictions:
         sol = solve_scalar(cfg, p)
         assert sol.tau_star == tau_ref
         assert sol.beta_star == beta_ref
-        assert predict_mse(sol, cfg, p) == cfg.delta * tau_ref ** 2 - cfg.sigma_z2
+        gap = predict_mse(sol, cfg, p) - (cfg.delta * tau_ref ** 2 - cfg.sigma_z2)
+        assert abs(gap) <= self.identity_gap_bound(sol)
 
     def test_phi_off_matches_monte_carlo(self):
         cfg = ModelConfig(delta=0.8, kappa=0.1, eps2=0.2, sigma_z2=0.2, lam=0.61)

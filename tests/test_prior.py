@@ -10,16 +10,14 @@ from lasso_mismatch.prior import (
     Prior,
     _prior_moments,
     prior_expect_e,
-    prior_expect_eta_x0,
     sparse_bernoulli,
 )
 from lasso_mismatch.predictor import ModelConfig
 from lasso_mismatch.simulator import generate_instance
-from oracles import oracle_expect_abs_eta, oracle_expect_e, oracle_expect_eta, oracle_prob_inside
+from oracles import oracle_expect_abs_eta, oracle_expect_e, oracle_prob_inside
 
 # frozen oracle values (adaptive Simpson, tol 1e-11)
 PRIOR_E_SB01 = 0.20060927601425        # sb(0.1), gamma=sqrt(0.9), tau=0.6, chi=0.8
-PRIOR_ETA_X0_SB01 = 0.0311481804644526  # sb(0.1), gamma=sqrt(0.8), tau=0.5, chi=0.7
 
 
 class TestConstruction:
@@ -67,22 +65,12 @@ class TestExpectations:
         assert prior_expect_e(p, 1.0, 0.8, 0.5) == pytest.approx(
             oracle_expect_e(0.0, 0.8, 0.5), abs=1e-9
         )
-        assert prior_expect_eta_x0(p, 1.0, 0.8, 0.5) == 0.0
 
     def test_frozen_values(self):
         p = sparse_bernoulli(0.1)
         assert prior_expect_e(p, math.sqrt(0.9), 0.6, 0.8) == pytest.approx(
             PRIOR_E_SB01, abs=1e-9
         )
-        assert prior_expect_eta_x0(p, math.sqrt(0.8), 0.5, 0.7) == pytest.approx(
-            PRIOR_ETA_X0_SB01, abs=1e-9
-        )
-
-    def test_eta_x0_drops_zero_atom(self):
-        p = sparse_bernoulli(0.3)
-        gamma, tau, chi = 0.9, 0.4, 0.5
-        expected = 0.3 * oracle_expect_eta(0.9, tau, chi)
-        assert prior_expect_eta_x0(p, gamma, tau, chi) == pytest.approx(expected, abs=1e-9)
 
     def test_nonnegative_and_dead_zone_limit(self):
         p = Prior(atoms=((0.0, 1.0),))
@@ -118,7 +106,7 @@ class TestExpectations:
         with pytest.raises(ValueError):
             prior_expect_e(p, 1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
-            prior_expect_eta_x0(p, 1.0, 1.0, 0.0)
+            prior_expect_e(p, 1.0, 1.0, 0.0)
 
 
 def support_draws(p, count, seed):
