@@ -12,24 +12,16 @@ signal prior and H standard normal.  From the saddle point follow the limiting
 mean squared error and the per-entry support-recovery probabilities at a hard
 threshold xi.
 
-The saddle is a root of the closed-form gradient of D: at each tau the
-inner root solves dD/dbeta = 0, and the outer root solves dD/dtau = 0 along
-that curve, where it is the derivative of tau -> max_beta D.  One
-safeguarded Newton search (rtsafe, Press et al., Numerical Recipes 9.4)
-serves both: it takes the Newton point when that lies inside the
-sign-change bracket and bisects otherwise.  Both slopes are closed forms from
-the same per-atom moments as the gradient: the inner one is -d2D/dbeta2, and
-the outer one is the total derivative H_tt - H_tb^2 / H_bb along beta(tau), H
-the Hessian of D, taken at the inner search's last evaluation.  The outer
-search starts from tau0 = sqrt((sigma_z^2 + E[X^2])/delta), its root in the
-limit lambda -> inf, where the estimate is zero.  The first inner search
-starts at its own lambda -> inf root, the top of its analytic bracket, and
-each later one where the root curve beta(tau) puts it to first order, from
-the previous root and the curve's slope H_tb / (-H_bb), when that lies
-inside its bracket, so near the saddle it takes one or two evaluations.  A
-solution is returned only when its scaled stationarity residual is within
-SADDLE_TOL of D.  The optimal lambda is found by Brent's minimiser on a
-fixed interval, and only when it lies inside that interval.
+The saddle is a root of the closed-form gradient of D, found by Newton's
+method in (tau, beta): each step evaluates the gradient and the Hessian's
+closed forms once, from the same per-atom moments, and eliminates beta, so
+the tau step divides by the Schur complement H_tt - H_tb^2 / H_bb.  A fall
+is damped, x -> x^2 / (x - move), so both variables stay positive and can
+fall by decades in one step.  The start is the lambda -> inf limit of both,
+where the estimate is zero.  A solution is returned only when its scaled
+stationarity residual is within SADDLE_TOL of D.  The optimal lambda is
+found by Brent's minimiser on a fixed interval, and only when it lies
+inside that interval.
 Non-convergence raises instead of returning a best-effort result.
 """
 
@@ -146,8 +138,8 @@ class ModelConfig:
 class ScalarSolution:
     """Saddle point of the scalar min-max problem, certified by its residual.
 
-    outer_iters counts the tau root's Newton-search evaluations (one beta
-    root each), inner_iters_total the beta roots' gradient evaluations.
+    outer_iters and inner_iters_total both count the joint Newton steps, one
+    gradient evaluation each.
     residual is (|tau dD/dtau|, |beta dD/dbeta|), at most SADDLE_TOL * D:
     solve_scalar raises rather than return a saddle that fails this.
     """
@@ -361,7 +353,7 @@ def _derivatives(tau: float, beta: float, cfg: ModelConfig,
             slope_beta, h_tt + h_tb * beta_tau, beta_tau)
 
 
-def _beta_root(tau: float, cfg: ModelConfig, p: Prior, start: float = math.nan
+def _beta_root(tau: float, cfg: ModelConfig, p: Prior
                ) -> tuple[float, tuple[float, float, float, float, float], int]:
     """Root of dD/dbeta at tau: (beta, `_derivatives` at (tau, beta), evaluations).
 
@@ -374,16 +366,15 @@ def _beta_root(tau: float, cfg: ModelConfig, p: Prior, start: float = math.nan
     >= tau^2 (1 - delta/2).  The second bound is positive and scales with lam,
     as the root does when lam -> 0 at delta < 1.  The bracket's low end lo is
     half the larger bound, since at small lambda the root can sit on the first
-    one itself, within rounding of the gradient's terms.  A start in (lo, hi]
-    is evaluated first.  A cold search (start nan) starts at the upper bound
-    hi, the root's limit as lam -> inf, where chi -> inf and E min(a^2, chi^2)
-    -> E[a^2] = gamma^2 E[X^2] + tau^2 (the limit the tau search's start takes
-    too): at large lambda it is the root within rounding, and the Newton
-    steps from it come down toward the root (the cold roots of fig-1's 60
-    solves take 154 evaluations from hi against 210 from lo).  lo remains the
-    fallback, for a start outside the bracket and for a Newton point below
-    it.  The derivatives are those of the search's last evaluation, which is
-    at the returned beta.
+    one itself, within rounding of the gradient's terms.  The search starts at
+    the upper bound hi, the root's limit as lam -> inf, where chi -> inf and
+    E min(a^2, chi^2) -> E[a^2] = gamma^2 E[X^2] + tau^2 (the limit
+    `solve_scalar` starts from too): at large lambda it is the root within
+    rounding, and the Newton steps from it come down toward the root.  lo is
+    the fallback for a Newton point below the bracket.  The derivatives are
+    those of the search's last evaluation, which is at the returned beta.
+    This bracketed search is independent of `solve_scalar`'s joint iteration,
+    which `maximize_over_beta` can check.
     """
     last = ()
 
@@ -397,8 +388,7 @@ def _beta_root(tau: float, cfg: ModelConfig, p: Prior, start: float = math.nan
     hi = tau * cfg.delta + (cfg.sigma_z2 + ex2) / tau
     lo = 0.5 * max(tau * (cfg.delta - 1.0) + noise,
                    min(cfg.lam * math.sqrt(8.0 * cfg.delta / 3.0), 0.5 * tau * cfg.delta + noise))
-    beta, evals = bracketed_root(f, lo, hi, "beta", start=hi if math.isnan(start) else start,
-                                 tau=tau)
+    beta, evals = bracketed_root(f, lo, hi, "beta", start=hi, tau=tau)
     return beta, last, evals
 
 
@@ -412,43 +402,50 @@ def maximize_over_beta(tau: float, cfg: ModelConfig, p: Prior) -> tuple[float, f
 def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
     """Solve the scalar min-max problem for (tau*, beta*).
 
-    tau* is the root of dD/dtau(tau, beta(tau)), beta(tau) the root of dD/dbeta
-    at tau, and beta* = beta(tau*).  The tau search starts at
-    tau0 = sqrt((sigma_z^2 + E[X^2])/delta), which is tau* as lambda -> inf:
-    there the estimate is zero, so delta tau*^2 - sigma_z^2 = E[X^2].  Its
-    bracket is [lo, 2 tau0], lo half of sigma_z/sqrt(delta), below any
-    achievable error scale (tau0 >= 2 lo, so 2 tau0 > lo).  The first beta
-    root is cold (`_beta_root`); each later one starts from the previous
-    root beta, moved by move = (tau - tau_prev) dbeta/dtau with the root
-    curve's slope that `_derivatives` returns fifth: at beta + move when
-    move >= 0, and at beta^2 / (beta - move), the same to first order, when
-    the curve falls, so a steep fall (as at small lambda, where beta* scales
-    with lambda) cannot carry the start to zero or below.  tau0 and the
-    starts depend on the configuration only, so each solve is independent
-    of any other lambda.  The residual is read from the tau search's last gradient
-    evaluation, at (tau*, beta*).  Raises NonConvergenceError when a root
-    search fails or the scaled residual exceeds SADDLE_TOL * D(tau*, beta*);
-    that message names delta, and says so when the tau slope (about
-    delta^2) or tau dD/dtau overflowed, as it does from delta of about
-    1e154 up.
+    Newton's method on grad D = 0 in (tau, beta), one `_derivatives`
+    evaluation per step.  The step eliminates beta, dtau = -(dD/dtau +
+    dbeta/dtau dD/dbeta) / S and dbeta = dD/dbeta / (-H_bb) + dbeta/dtau dtau
+    with S = H_tt - H_tb^2 / H_bb, so it reads the five values `_derivatives`
+    returns and forms no product of Hessian entries.  A variable x rises to
+    x + move and falls to x^2 / (x - move), the same to first order, so a
+    steep fall (as at small lambda, where beta* scales with lambda) cannot
+    carry it to zero or below.  The start is the lambda -> inf limit of both:
+    tau0 = sqrt((sigma_z^2 + E[X^2])/delta), where the estimate is zero, so
+    delta tau*^2 - sigma_z^2 = E[X^2], and beta0 = tau0 delta +
+    (sigma_z^2 + E[X^2])/tau0, the top of `_beta_root`'s bracket.  It depends
+    on the configuration only, so each solve is independent of any other
+    lambda.  The iteration stops when both steps are at most ROOT_REL_TOL of
+    their variable, at the point last evaluated, whose gradient gives the
+    residual.  Raises NonConvergenceError, naming delta, at a zero slope, a
+    step that is not finite (a NaN slope gives one), a point off the positive
+    quadrant, ROOT_MAX_EVALS steps without convergence, or a scaled residual
+    above SADDLE_TOL * D(tau*, beta*).  That last message says so when the
+    tau slope (about delta^2) or tau dD/dtau overflowed, as it does from
+    delta of about 1e154 up; an infinite slope makes a zero step.
     """
-    inner_total = 0
-    # the last beta root; its nans make the first start nan, so that root is cold
-    tau_prev, beta, last = math.nan, math.nan, (math.nan,) * 5
+    def failure(what: str) -> NonConvergenceError:
+        return NonConvergenceError(f"saddle search {what} at tau={tau:g}, beta={beta:g}, "
+                                   f"delta={cfg.delta:g}", tau=tau, beta=beta)
 
-    def d_tau(tau: float) -> tuple[float, float]:
-        nonlocal inner_total, tau_prev, beta, last
-        move = (tau - tau_prev) * last[4]
-        start = beta + move if move >= 0.0 else beta * beta / (beta - move)
-        beta, last, evals = _beta_root(tau, cfg, p, start=start)
-        tau_prev = tau
-        inner_total += evals
-        return last[0], last[3]
-
-    lo = 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta)
-    tau0 = math.sqrt((cfg.sigma_z2 + p.second_moment()) / cfg.delta)
-    tau, outer_evals = bracketed_root(d_tau, lo, 2.0 * tau0, "tau", start=tau0)
-    g_tau, g_beta, _, slope, _ = last
+    ex2 = p.second_moment()
+    tau = math.sqrt((cfg.sigma_z2 + ex2) / cfg.delta)
+    beta = tau * cfg.delta + (cfg.sigma_z2 + ex2) / tau
+    for evals in range(1, ROOT_MAX_EVALS + 1):
+        if not (0.0 < tau < math.inf and 0.0 < beta < math.inf):
+            raise failure("left the positive quadrant")
+        g_tau, g_beta, slope_beta, slope, beta_tau = _derivatives(tau, beta, cfg, p)
+        if slope_beta == 0.0 or slope == 0.0:
+            raise failure(f"met a zero slope ({slope_beta:g}, {slope:g})")
+        d_tau = -(g_tau + beta_tau * g_beta) / slope
+        d_beta = g_beta / slope_beta + beta_tau * d_tau
+        if not (math.isfinite(d_tau) and math.isfinite(d_beta)):
+            raise failure(f"took the step ({d_tau:g}, {d_beta:g})")
+        if abs(d_tau) <= ROOT_REL_TOL * tau and abs(d_beta) <= ROOT_REL_TOL * beta:
+            break
+        tau = tau + d_tau if d_tau >= 0.0 else tau * tau / (tau - d_tau)
+        beta = beta + d_beta if d_beta >= 0.0 else beta * beta / (beta - d_beta)
+    else:
+        raise failure(f"did not converge within {ROOT_MAX_EVALS} steps")
     value = objective_D(tau, beta, cfg, p)
     residual = (abs(tau * g_tau), abs(beta * g_beta))
     if not max(residual) <= SADDLE_TOL * value:
@@ -459,7 +456,7 @@ def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
             + ("; the tau slope (about delta^2) or tau dD/dtau (about tau*beta*delta) "
                "overflowed" if overflow else ""), tau=tau, beta=beta)
     return ScalarSolution(tau_star=tau, beta_star=beta, objective=value,
-                          outer_iters=outer_evals, inner_iters_total=inner_total, residual=residual)
+                          outer_iters=evals, inner_iters_total=evals, residual=residual)
 
 
 def predict_mse(sol: ScalarSolution, cfg: ModelConfig, p: Prior) -> float:

@@ -3,10 +3,11 @@
 Certify phase: delta in [0.05, 20], sigma_z2 in [1e-3, 10] and lambda in
 [1e-12, 1e5] are drawn log-uniform, kappa in [0.01, 0.5] and eps2 in
 [0, 0.9] uniform, with the sparse Bernoulli prior of sparsity kappa.  Every
-`solve_scalar` must return a saddle certified within SADDLE_TOL; the script
-prints the number of failures, the total tau and beta evaluations
-(`outer_iters` and `inner_iters_total`) and the largest per solve, where the
-cost of the Newton searches' starts shows.
+`solve_scalar` must return a saddle certified within SADDLE_TOL, in at most
+EVAL_BUDGET saddle evaluations in all (one `_derivatives` evaluation per
+joint Newton step, `inner_iters_total`); the script prints the number of
+failures, that total and the largest per solve, where the cost of the
+Newton iteration's start shows.
 
 Contract phase: delta, sigma_z2 and lambda are powers of ten from 1e-300 to
 1e300, kappa is log-uniform in [1e-12, 0.999999] and eps2 uniform in
@@ -15,8 +16,9 @@ Contract phase: delta, sigma_z2 and lambda are powers of ten from 1e-300 to
 also where the MSE lies orders of magnitude below sigma_z2; any other
 exception, and any other MSE, is printed.
 
-The script exits 1 when a certify-phase solve raises `NonConvergenceError`
-or a contract-phase call raises anything else or returns another MSE.  The
+The script exits 1 when a certify-phase solve raises `NonConvergenceError`,
+when the certify phase takes more than EVAL_BUDGET evaluations, or when a
+contract-phase call raises anything else or returns another MSE.  The
 pytest run does not collect it (its name has no test_ prefix).  Run from the
 repository root:
 
@@ -39,6 +41,7 @@ from lasso_mismatch.prior import sparse_bernoulli
 SEED = 2026
 CONTRACT_SEED = 2027
 DRAWS = 2000
+EVAL_BUDGET = 30_000
 
 
 def log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -96,23 +99,22 @@ def contract() -> int:
 
 def main() -> int:
     failed = []
-    tau_evals = beta_evals = worst = 0
+    evals = worst = 0
     for cfg in configurations():
         try:
             sol = solve_scalar(cfg, sparse_bernoulli(cfg.kappa))
         except NonConvergenceError as exc:
             failed.append((cfg, exc))
             continue
-        tau_evals += sol.outer_iters
-        beta_evals += sol.inner_iters_total
-        worst = max(worst, sol.outer_iters + sol.inner_iters_total)
+        evals += sol.inner_iters_total
+        worst = max(worst, sol.inner_iters_total)
     print(f"failed: {len(failed)} of {DRAWS}")
     for cfg, exc in failed:
         print(f"  {cfg}: {exc}")
-    print(f"total tau evaluations: {tau_evals}, beta evaluations: {beta_evals}")
-    print(f"largest solve: {worst} evaluations (tau and beta)")
+    print(f"total saddle evaluations: {evals} (budget {EVAL_BUDGET})")
+    print(f"largest solve: {worst} evaluations")
     broken = contract()
-    return 1 if failed or broken else 0
+    return 1 if failed or evals > EVAL_BUDGET or broken else 0
 
 
 if __name__ == "__main__":

@@ -366,12 +366,14 @@ class TestMainExitCodes:
         assert err == "computation error: lambda=1.2: synthetic saddle failure\n"
 
     def test_zero_tau_bracket_is_computation_error(self, capsys):
-        # the tau bracket's low end underflows to 0: this used to end in a
-        # ZeroDivisionError traceback and exit 1, the usage-error code
+        # the saddle search's non-finite first step at this extreme is a
+        # computation error (exit 2), not a traceback and exit 1, the
+        # usage-error code
         argv = "--delta 1e300 --kappa 0.1 --eps2 0.1 --sigma-z2 1e-100 --lambda-list 1"
         assert main(argv.split()) == 2
         err = capsys.readouterr().err
-        assert err.startswith("computation error: lambda=1: tau search reached")
+        assert err == ("computation error: lambda=1: saddle search took the step (nan, nan) "
+                       "at tau=3.16228e-151, beta=6.32456e+149, delta=1e+300\n")
 
     def test_allocation_failure_is_2(self, capsys, monkeypatch):
         # a MemoryError (numpy's failed allocation) is a computation error;

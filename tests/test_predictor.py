@@ -6,6 +6,7 @@ state-evolution fixed point of the matched LASSO."""
 import ast
 import math
 import random
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -332,11 +333,8 @@ class TestSolveScalar:
     def test_solution_metadata(self):
         sol = solve_scalar(REF_CFG, REF_PRIOR)
         assert sol.tau_star > 0 and sol.beta_star > 0
-        # root-step counts: each tau evaluation runs one beta root, which
-        # evaluates the gradient at least once (once when its warm start is
-        # within the stopping step of the root)
-        assert 3 <= sol.outer_iters <= ROOT_MAX_EVALS
-        assert sol.outer_iters <= sol.inner_iters_total <= ROOT_MAX_EVALS * sol.outer_iters
+        # both fields count the joint Newton steps, one gradient evaluation each
+        assert 3 <= sol.outer_iters == sol.inner_iters_total <= ROOT_MAX_EVALS
         assert sol.objective == objective_D(sol.tau_star, sol.beta_star, REF_CFG, REF_PRIOR)
         g_tau, g_beta, _, _, _ = predictor._derivatives(sol.tau_star, sol.beta_star, REF_CFG,
                                                          REF_PRIOR)
@@ -344,8 +342,9 @@ class TestSolveScalar:
         assert max(sol.residual) <= SADDLE_TOL * sol.objective
 
     def test_gradient_evaluated_once_per_beta_search_step(self, monkeypatch):
-        # the residual is read from the tau search's last evaluation, which is
-        # at (tau*, beta*), so the saddle costs no extra gradient evaluation
+        # the residual is read from the Newton iteration's last evaluation,
+        # which is at (tau*, beta*), so the saddle costs no extra gradient
+        # evaluation
         calls = []
         derivatives = predictor._derivatives
 
@@ -359,26 +358,56 @@ class TestSolveScalar:
         assert calls[-1] == (sol.tau_star, sol.beta_star)
 
     def test_fig1_grid_evaluation_counts(self):
-        # the cold beta root starts at its lambda -> inf limit and each later
-        # one on the root curve's first-order prediction (348 beta evaluations
-        # over the 60 solves)
-        outer = inner = 0
+        # the joint Newton iteration from the lambda -> inf limit takes 183
+        # gradient evaluations over the 60 solves
+        total = 0
         for lam in GRID:
             sol = solve_scalar(FIG1_CFG.with_lam(lam), REF_PRIOR)
-            outer += sol.outer_iters
-            inner += sol.inner_iters_total
-        assert outer == 161
-        assert inner <= 380
+            assert sol.outer_iters == sol.inner_iters_total
+            total += sol.inner_iters_total
+        assert total == 183
 
     def test_newton_evaluation_count(self):
-        # median gradient evaluations per solve on the grid, outer and inner
-        # (5 on fig-1 and 10 on heavy)
-        for cfg, bound in [(FIG1_CFG, 10), (HEAVY_CFG, 15)]:
-            counts = []
-            for lam in GRID:
-                sol = solve_scalar(cfg.with_lam(lam), REF_PRIOR)
-                counts.append(sol.outer_iters + sol.inner_iters_total)
-            assert np.median(counts) <= bound, (cfg, counts)
+        # median gradient evaluations per solve on the grid (2 on fig-1 and 4
+        # on heavy), and heavy's total (225)
+        for cfg, median, total in [(FIG1_CFG, 2, 183), (HEAVY_CFG, 4, 225)]:
+            counts = [solve_scalar(cfg.with_lam(lam), REF_PRIOR).inner_iters_total
+                      for lam in GRID]
+            assert np.median(counts) <= median and sum(counts) <= total, (cfg, counts)
+
+    @pytest.mark.parametrize(
+        "cfg,p",
+        [(FIG1_CFG, REF_PRIOR), (HEAVY_CFG, REF_PRIOR)],
+        ids=["fig1", "heavy"],
+    )
+    def test_joint_beta_matches_bracketed_beta_search(self, cfg, p):
+        # the bracketed beta search at tau*, independent of the joint step,
+        # finds the joint iteration's beta*
+        for lam in GRID:
+            c = cfg.with_lam(lam)
+            sol = solve_scalar(c, p)
+            beta, _, _ = maximize_over_beta(sol.tau_star, c, p)
+            assert abs(beta - sol.beta_star) <= 1e-11 * sol.beta_star, lam
+
+    def test_residual_falls_quadratically(self, monkeypatch):
+        # Newton's method with the exact Hessian squares the scaled residual,
+        # up to a constant, near the saddle; a step that used the Hessian
+        # wrongly would shrink it by a factor at best
+        residuals = []
+        derivatives = predictor._derivatives
+
+        def spy(tau, beta, *args):
+            result = derivatives(tau, beta, *args)
+            residuals.append(max(abs(tau * result[0]), abs(beta * result[1])))
+            return result
+
+        monkeypatch.setattr(predictor, "_derivatives", spy)
+        sol = solve_scalar(FIG1_CFG.with_lam(0.001), REF_PRIOR)
+        r = [x / sol.objective for x in residuals]
+        # the last four are 8.5e-3, 6.7e-5, 4.3e-9 and 8.9e-17, at rounding
+        assert r[-4] <= 1e-2 and r[-1] <= 1e-15, r
+        for before, after in zip(r[-4:-2], r[-3:-1]):
+            assert after <= 2.0 * before ** 2, r
 
     @pytest.mark.parametrize(
         "cfg,p",
@@ -387,7 +416,7 @@ class TestSolveScalar:
     )
     def test_large_lambda_tau_is_its_start(self, cfg, p):
         # as lambda -> inf the estimate is zero, so delta tau*^2 = sigma_z^2 + E[X^2]:
-        # the tau search's start is the root, found by its one evaluation
+        # the Newton iteration's start is the saddle, found by its one evaluation
         sol = solve_scalar(cfg.with_lam(1e4), p)
         tau0 = math.sqrt((cfg.sigma_z2 + p.second_moment()) / cfg.delta)
         assert sol.outer_iters == 1
@@ -416,17 +445,37 @@ class TestSolveScalar:
         with pytest.raises(NonConvergenceError, match=r"at delta=0\.8$"):
             solve_scalar(REF_CFG, REF_PRIOR)
 
-    @pytest.mark.parametrize("cfg, name", [
-        # lo = sqrt(sigma_z2 / delta) / 2 underflows to 0
-        (ModelConfig(delta=1e300, kappa=0.1, eps2=0.1, sigma_z2=1e-100, lam=1.0), "tau"),
-        # the beta search's floor, which scales with lam, underflows to 0
-        (ModelConfig(delta=1e-300, kappa=1e-12, eps2=0.1, sigma_z2=1e6, lam=1e-200), "beta"),
+    @pytest.mark.parametrize("cfg, message", [
+        # the first step divides an infinite gradient term by an infinite slope
+        (ModelConfig(delta=1e300, kappa=0.1, eps2=0.1, sigma_z2=1e-100, lam=1.0),
+         "saddle search took the step (nan, nan) at tau=3.16228e-151, beta=6.32456e+149, "
+         "delta=1e+300"),
+        # tau falls from 1e153 by half each step until the budget runs out
+        (ModelConfig(delta=1e-300, kappa=1e-12, eps2=0.1, sigma_z2=1e6, lam=1e-200),
+         "saddle search did not converge within 100 steps at tau=7.88861e+122, beta=2e-147, "
+         "delta=1e-300"),
     ], ids=["tau", "beta"])
-    def test_bracket_end_at_zero_raises(self, cfg, name):
-        # the search used to evaluate that end and raise ZeroDivisionError
-        with pytest.raises(NonConvergenceError, match=f"{name} search reached") as err:
+    def test_bracket_end_at_zero_raises(self, cfg, message):
+        # at the extremes of the valid range the solve raises
+        # NonConvergenceError with its last iterate, never ZeroDivisionError
+        with pytest.raises(NonConvergenceError) as err:
             predict_report(cfg, sparse_bernoulli(cfg.kappa), 1e-3)
-        assert getattr(err.value, name) == 0.0
+        assert str(err.value) == message
+        assert err.value.tau > 0.0 and err.value.beta > 0.0
+
+    @pytest.mark.parametrize("derivatives, message", [
+        ((1.0, 1.0, 0.5, 0.0, 0.0), "met a zero slope (0.5, 0)"),
+        ((1.0, 1.0, 0.5, math.nan, 0.0), "took the step (nan, nan)"),
+        # tau rises by 1e308 a step and overflows on the second
+        ((-1e308, 0.0, 0.5, 1.0, 0.0), "left the positive quadrant"),
+        ((-1.0, 0.0, 0.5, 1.0, 0.0), f"did not converge within {ROOT_MAX_EVALS} steps"),
+    ], ids=["zero_slope", "nan_slope", "overflow", "budget"])
+    def test_newton_failures_raise(self, monkeypatch, derivatives, message):
+        # (dD/dtau, dD/dbeta, -H_bb, S, dbeta/dtau) held fixed at every point
+        monkeypatch.setattr(predictor, "_derivatives", lambda *args: derivatives)
+        with pytest.raises(NonConvergenceError, match=r"^saddle search " + re.escape(message)
+                           + r" at tau=\S+, beta=\S+, delta=0\.8$"):
+            solve_scalar(REF_CFG, REF_PRIOR)
 
     def test_residual_out_of_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(predictor, "SADDLE_TOL", 1e-30)
@@ -453,7 +502,7 @@ class TestSolveScalar:
         # delta in [0.05, 10], eps^2 up to 0.999, sigma_z^2 in [1e-6, 100] and
         # lambda in [1e-6, 1e5] (all log-uniform but eps^2), sparse Bernoulli and
         # multi-atom priors: every solve is certified, within the evaluation
-        # counts the lambda -> inf start gives (median 17, max 95 per solve).
+        # counts the lambda -> inf start gives (median 6, max 30 per solve).
         # At lambda = 1e4 the estimate is zero: the MSE is E[X^2] and no entry
         # is detected.
         rng = random.Random(3)
@@ -475,13 +524,13 @@ class TestSolveScalar:
             )
             sol = solve_scalar(cfg, p)
             assert max(sol.residual) <= SADDLE_TOL * sol.objective, cfg
-            counts.append(sol.outer_iters + sol.inner_iters_total)
+            counts.append(sol.inner_iters_total)
             large = cfg.with_lam(1e4)
             sol = solve_scalar(large, p)
             ex2 = p.second_moment()
             assert abs(predict_mse(sol, large, p) - ex2) <= 1e-8 * ex2, large
             assert predict_support(sol, large, p, 1e-3)[0] <= 1e-12, large
-        assert np.median(counts) <= 18 and max(counts) <= 153, (np.median(counts), max(counts))
+        assert np.median(counts) <= 6 and max(counts) <= 30, (np.median(counts), max(counts))
         # small lambda at delta > 1: at tau = 0.00386 the beta root lies on its
         # analytic lower bound 166.22 within rounding
         cfg = ModelConfig(delta=3.692916709345302, kappa=0.6612400753578219,
@@ -610,7 +659,7 @@ class TestPredictions:
 
     def test_perfect_knowledge_reduction_exact(self):
         # an independently assembled perfect-knowledge pipeline, built from the
-        # same root primitive and the reduced gradient and slopes, must agree
+        # same joint Newton step and the reduced gradient and slopes, must agree
         # bitwise on the saddle, and the MSE must meet delta tau*^2 - sigma_z2
         cfg = ModelConfig(delta=0.8, kappa=0.1, eps2=0.0, sigma_z2=0.2, lam=1.0)
         p = REF_PRIOR
@@ -630,33 +679,21 @@ class TestPredictions:
             return (beta * (half + inside - w / tau), tau * half + w - 0.5 * beta,
                     slope_beta, h_tt + h_tb * beta_tau, beta_tau)
 
-        last = {}
-
-        def reduced_beta_root(tau):
-            def f(beta):
-                (last["d_tau"], d_beta, slope_beta, last["slope"],
-                 last["beta_tau"]) = reduced_derivatives(tau, beta)
-                return -d_beta, slope_beta
-
-            hi = tau * cfg.delta + (cfg.sigma_z2 + p.second_moment()) / tau
-            lo = 0.5 * max(tau * (cfg.delta - 1.0) + cfg.sigma_z2 / tau,
-                           min(cfg.lam * math.sqrt(8.0 * cfg.delta / 3.0),
-                               0.5 * tau * cfg.delta + cfg.sigma_z2 / tau))
-            # cold at hi, then first order along the root curve beta(tau), a
-            # fall taken as beta^2 / (beta - move)
-            start = hi
-            if last:
-                beta, move = last["beta"], (tau - last["tau"]) * last["beta_tau"]
-                start = beta + move if move >= 0.0 else beta * beta / (beta - move)
-            last["beta"], _ = bracketed_root(f, lo, hi, "beta", start=start)
-            last["tau"] = tau
-            return last["d_tau"], last["slope"]
-
-        lo = 0.5 * math.sqrt(cfg.sigma_z2 / cfg.delta)
-        tau0 = math.sqrt((cfg.sigma_z2 + p.second_moment()) / cfg.delta)
-        tau_ref, _ = bracketed_root(reduced_beta_root, lo, max(2.0 * lo, 2.0 * tau0), "tau",
-                                    start=tau0)
-        beta_ref = last["beta"]
+        # the joint Newton step from the lambda -> inf limit, a fall taken as
+        # x^2 / (x - move)
+        tau = math.sqrt((cfg.sigma_z2 + p.second_moment()) / cfg.delta)
+        beta = tau * cfg.delta + (cfg.sigma_z2 + p.second_moment()) / tau
+        for _ in range(ROOT_MAX_EVALS):
+            g_tau, g_beta, slope_beta, slope, beta_tau = reduced_derivatives(tau, beta)
+            d_tau = -(g_tau + beta_tau * g_beta) / slope
+            d_beta = g_beta / slope_beta + beta_tau * d_tau
+            if abs(d_tau) <= ROOT_REL_TOL * tau and abs(d_beta) <= ROOT_REL_TOL * beta:
+                break
+            tau = tau + d_tau if d_tau >= 0.0 else tau * tau / (tau - d_tau)
+            beta = beta + d_beta if d_beta >= 0.0 else beta * beta / (beta - d_beta)
+        else:
+            pytest.fail("the reference iteration did not converge")
+        tau_ref, beta_ref = tau, beta
 
         sol = solve_scalar(cfg, p)
         assert sol.tau_star == tau_ref
