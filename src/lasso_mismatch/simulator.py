@@ -13,26 +13,29 @@ one per failed test, and once the sign pattern of the iterate settles it
 tries the exact solution on that pattern, returned only if it passes the
 KKT gate.  When that solve is rejected, a bounded feature-sign active-set
 search (Lee, Battle, Raina & Ng 2007) corrects the pattern from the iterate,
-and the exact solution on the corrected pattern faces the same gate; FISTA
-goes on only when both fail.  The iterations that find the pattern run
-their products on a float32 copy of A, and hand over to A itself, once and
-for good, at their first check or when float32 can take them no further;
-the exact solves, the search and the gate use A in float64, so the returned
-x is the same as with float64 iterations whenever both reach its pattern
-(mixed-precision iterative refinement: Higham 2002, ch. 12; Carson & Higham
-2018).  When lambda is at least ||A^T y||_inf, x = 0 is returned before any
-iteration.
+starting from the Gram matrix the rejected solve formed and its inverse
+through a Cholesky factor, and the exact solution on the corrected pattern
+faces the same gate; FISTA goes on only when both fail.  The iterations
+that find the pattern run their products on a float32 copy of A, and hand
+over to A itself, once and for good, at their first check or when float32
+can take them no further; the exact solves, the search and the gate use A
+in float64, so the returned x is the same as with float64 iterations
+whenever both reach its pattern (mixed-precision iterative refinement:
+Higham 2002, ch. 12; Carson & Higham 2018).  When lambda is at least
+||A^T y||_inf, x = 0 is returned before any iteration.
 
 The Monte Carlo loop runs over trials first, then over lambda: instances do
 not depend on lambda, so each trial draws its instance once, from a
-deterministically derived per-trial random substream, and solves the whole
-lambda grid on it with independent (not warm-started) solves.  The one
-worker thread of a `concurrent.futures` executor draws every instance, the
-next trial's while one is solved, into the other of two matrix buffers the
-run reuses, so at most two instances are alive at a time; one helper states
-the instance law for the run's checks and for each draw.  Results are
-reproducible bit for bit regardless of the grid that contains a lambda, and
-equal those of drawing and solving the trials one after another.
+deterministically derived per-trial random substream, checks it and forms
+its lambda-independent data (column norms, A^T y) once, and solves the whole
+lambda grid on it with independent (not warm-started) solves, each making
+its own float32 copy of A.  The one worker thread of a `concurrent.futures`
+executor draws every instance, the next trial's while one is solved, into
+the other of two matrix buffers the run reuses, so at most two instances
+are alive at a time; one helper states the instance law for the run's
+checks and for each draw.  Results are reproducible bit for bit regardless
+of the grid that contains a lambda, and equal those of drawing and solving
+the trials one after another.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import _SIMULATOR_NAMES
 from .kernels import _check_positive
@@ -70,11 +74,14 @@ class Instance:
 class LassoResult:
     """Solution, iteration count, KKT residual and the final step constant L.
 
-    `matvecs` counts every product with A or A^T the solve took: gradients,
-    backtracking retries, the float64 A x and A w formed at the hand-over,
-    KKT checks, exact-solve and active-set search products.  `exact_solves`
-    counts the dense factorizations: each solve of an exact-solve attempt
-    and the inverse each search starts from.
+    `matvecs` counts every product with A or A^T the solve took: A^T y
+    (once per solve, also where `run_grid` forms it once for a trial's
+    lambda grid), gradients, backtracking retries, the float64 A x and A w
+    formed at the hand-over, KKT checks, exact-solve and active-set search
+    products; the search reads A^T y and the rejected exact solve's Gram
+    matrix rather than forming them again.  `exact_solves` counts the dense
+    factorizations: each solve of an exact-solve attempt and the Cholesky
+    factor each search starts from.
     `polished` is True when the solve ended in the exact solve on a sign
     pattern.  `float32_iters` counts the iterations whose products ran on
     the float32 copy of A (the first gradient, -A^T y, is float64): it is
@@ -230,7 +237,7 @@ _F32_HI = math.sqrt(float(np.finfo(np.float32).max))
 
 
 def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
-            kkt_gate: float) -> tuple[tuple[np.ndarray, float] | None, int, int]:
+            kkt_gate: float) -> tuple[tuple[np.ndarray, float] | None, int, int, np.ndarray]:
     """Exact LASSO solution for the sign pattern `signs`, if it is the optimum.
 
     Solves the normal equations A_S^T A_S x_S = A_S^T y - lam s_S on the
@@ -242,7 +249,9 @@ def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
     equations, so the step costs one more solve.  The candidate depends
     only on (A, y, lam, signs), not on how the pattern was found.  The
     second value counts the products with A, A^T or A_S taken, the Gram
-    matrix A_S^T A_S as one, and the third the dense solves.
+    matrix A_S^T A_S as one, the third the dense solves, and the fourth is
+    that Gram matrix, which a search from an iterate with this support
+    starts from.
     """
     support = np.flatnonzero(signs)
     s = signs[support]
@@ -254,7 +263,7 @@ def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
         x_s = np.linalg.solve(gram, A_s.T @ y - lam * s)
         for refined in (False, True):
             if not np.array_equal(np.sign(x_s), s):
-                return None, products, solves
+                return None, products, solves, gram
             x[support] = x_s
             grad = A.T @ (A_s @ x_s - y)
             products += 2
@@ -264,8 +273,8 @@ def _polish(A: np.ndarray, y: np.ndarray, lam: float, signs: np.ndarray,
             solves += 1
             x_s = x_s - np.linalg.solve(gram, grad[support] + lam * s)
     except np.linalg.LinAlgError:
-        return None, products, solves
-    return ((x, kkt) if kkt <= kkt_gate else None), products, solves
+        return None, products, solves, gram
+    return ((x, kkt) if kkt <= kkt_gate else None), products, solves, gram
 
 
 # feature-sign steps the active-set search takes before it gives up
@@ -275,8 +284,36 @@ _SEARCH_STEPS = 32
 _PIVOT_FLOOR = 1e-10
 
 
+def _tril_inv(L: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular L with a positive diagonal, by halves.
+
+    The diagonal blocks of size 1 are the reciprocals of L's diagonal; each
+    pass joins pairs of b-blocks into 2b-blocks, whose lower-left block is
+    -X_22 L_21 X_11.  A pass handles all its full pairs in one stacked
+    product over strided views of the diagonal blocks, and the last,
+    shorter pair on its own, so about log2(k) passes of matrix products do
+    the work.
+    """
+    k = L.shape[0]
+    X = np.diag(1.0 / L.diagonal())
+    b = 1
+    while b < k:
+        c = 2 * b
+        pairs, tail = divmod(k, c)
+        if pairs:
+            Xb, Lb = (as_strided(M, (pairs, c, c), (c * sum(M.strides), *M.strides))
+                      for M in (X, L))
+            Xb[:, b:, :b] = -(Xb[:, b:, b:] @ (Lb[:, b:, :b] @ Xb[:, :b, :b]))
+        if tail > b:
+            s, t = pairs * c, pairs * c + b
+            X[t:, s:t] = -(X[t:, t:] @ (L[t:, s:t] @ X[s:t, s:t]))
+        b = c
+    return X
+
+
 def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
-                  kkt_gate: float) -> tuple[np.ndarray | None, int, int]:
+                  kkt_gate: float, aty: np.ndarray,
+                  gram: np.ndarray) -> tuple[np.ndarray | None, int, int]:
     """Sign pattern of the LASSO optimum by feature-sign search from x, or None.
 
     The active-set search of Lee, Battle, Raina & Ng (2007) started from
@@ -289,14 +326,16 @@ def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
     -sign(g_j).  The pattern is returned when no entry violates by more
     than kkt_gate; the search gives up (None) when S would pass m
     entries, the objective fails to fall, a column is dependent on S, or
-    `_SEARCH_STEPS` steps pass.  It keeps one inverse of A_S^T A_S and
-    changes it by bordering (add) and Schur complements (drop), so a step
-    costs O(|S|^2) plus two or three full-length products.  Only the
-    pattern leaves: `_polish` solves and certifies it afresh.  The second
-    value counts the products with A, A^T or A_S taken (r, A^T y, and the
-    Gram matrix as one when S starts nonempty), and the third the dense
-    factorizations (the inverse of A_S^T A_S when S starts nonempty, taken
-    once the copy A_S is freed).
+    `_SEARCH_STEPS` steps pass.  It is given aty = A^T y and gram =
+    A_S^T A_S on the support of x (in its order), which `_polish` has just
+    formed for the same pattern.  It keeps one inverse of A_S^T A_S, formed
+    from the Cholesky factor L of gram as L^-T L^-1 (declining when gram is
+    not numerically positive definite), and changes it by bordering (add)
+    and Schur complements (drop), so a step costs O(|S|^2) plus two or
+    three full-length products.  Only the pattern leaves: `_polish` solves
+    and certifies it afresh.  The second value counts the products with A,
+    A^T or A_S taken (r and the search's own), and the third the dense
+    factorizations (the Cholesky factor when S starts nonempty).
     """
     m, n = A.shape
     support = np.flatnonzero(x)
@@ -309,16 +348,13 @@ def _feature_sign(A: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray,
     theta[:k] = np.sign(x[support])
     inv = np.empty((cap, cap))
     r = A @ x - y
-    aty = A.T @ y
-    products, solves = 2 + (k > 0), int(k > 0)
+    products, solves = 1, int(k > 0)
     if k:
-        A_s = A[:, support]
-        gram = A_s.T @ A_s
-        del A_s
         try:
-            inv[:k, :k] = np.linalg.inv(gram)
+            L_inv = _tril_inv(np.linalg.cholesky(gram))
         except np.linalg.LinAlgError:
             return None, products, solves
+        inv[:k, :k] = L_inv.T @ L_inv
     x = x.copy()
     d_full = np.zeros(n)
     # an empty S is optimal on itself: the search starts by adding
@@ -405,12 +441,17 @@ def _product(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (M @ v.astype(M.dtype, copy=False)).astype(np.float64, copy=False)
 
 
+# solve_lasso's defaults, which run_grid's solves use as well
+_TOL = 1e-10
+_MAX_ITER = 20000
+
+
 def solve_lasso(
     A: np.ndarray,
     y: np.ndarray,
     lam: float,
-    tol: float = 1e-10,
-    max_iter: int = 20000,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
 ) -> LassoResult:
     """Minimize (1/2)||y - A x||^2 + lam ||x||_1 by accelerated proximal gradient.
 
@@ -478,13 +519,39 @@ def solve_lasso(
     _check_positive("tol", tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    return _solve(_prepare(A, y), lam, tol, max_iter)
+
+
+@dataclass(frozen=True)
+class _Problem:
+    """A LASSO instance's lambda-independent data, checked and formed once.
+
+    A and y as float64; L0, the largest squared column norm of A, where
+    the step constant starts; L_max = ||A||_F^2, its cap; aty = A^T y and
+    aty_max = ||A^T y||_inf; f_zero = (1/2)||y||^2, the objective at x = 0;
+    and float32, whether ||A||_F, ||y|| and their ratio lie within the
+    square roots of float32's normal range.
+    """
+
+    A: np.ndarray
+    y: np.ndarray
+    L0: float
+    L_max: float
+    aty: np.ndarray
+    aty_max: float
+    f_zero: float
+    float32: bool
+
+
+def _prepare(A: np.ndarray, y: np.ndarray) -> _Problem:
+    """Check A and y as `solve_lasso` states, and form their `_Problem`."""
     # float64 from here on: an integer A would truncate the float32 phase's
     # casts, and a float32 one would run the float64 phase in float32
     A = np.asanyarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError(f"A must be a 2-D array, got shape {A.shape}")
     y = np.asarray(y, dtype=np.float64)
-    m, n = A.shape
+    m = A.shape[0]
     if y.shape != (m,):
         raise ValueError(f"y has shape {y.shape}, expected ({m},)")
     if not np.isfinite(y).all():
@@ -495,10 +562,22 @@ def solve_lasso(
     if not _NORMAL_MIN <= L_max < math.inf:
         raise ValueError(f"||A||_F^2 must be positive, finite and at least the smallest "
                          f"normal float {_NORMAL_MIN!r}, got {L_max!r}")
-    # a start below ||A||_2^2 is corrected by backtracking
-    L = float(col_sq.max())
     aty = A.T @ y
-    aty_max = float(np.abs(aty).max())
+    f_zero = 0.5 * float(y @ y)
+    norm_a, norm_y = math.sqrt(L_max), math.sqrt(2.0 * f_zero)
+    return _Problem(
+        A=A, y=y,
+        # a start below ||A||_2^2 is corrected by backtracking
+        L0=float(col_sq.max()), L_max=L_max, aty=aty, aty_max=float(np.abs(aty).max()),
+        f_zero=f_zero,
+        float32=all(_F32_LO <= v <= _F32_HI for v in (norm_a, norm_y, norm_y / norm_a)))
+
+
+def _solve(prob: _Problem, lam: float, tol: float, max_iter: int) -> LassoResult:
+    """`solve_lasso` on a prepared problem, with lam, tol and max_iter already checked."""
+    A, y, aty, aty_max, L_max = prob.A, prob.y, prob.aty, prob.aty_max, prob.L_max
+    m, n = A.shape
+    L = prob.L0
     if aty_max <= lam:
         return LassoResult(x_hat=np.zeros(n), iters=0, kkt_residual=0.0, converged=True,
                            lipschitz=L, matvecs=1, exact_solves=0, polished=False,
@@ -510,11 +589,10 @@ def solve_lasso(
     # the gradient at the zero start
     grad = -aty
     t = 1.0
-    f_prev = 0.5 * float(y @ y)
+    f_prev = prob.f_zero
     signs = np.zeros(n)
     stable = 0
-    norm_a, norm_y = math.sqrt(L_max), math.sqrt(2.0 * f_prev)
-    if all(_F32_LO <= v <= _F32_HI for v in (norm_a, norm_y, norm_y / norm_a)):
+    if prob.float32:
         P, floor = A.astype(np.float32), math.sqrt(n) * _EPS32
     else:
         P, floor = A, _STEP_FLOOR
@@ -569,15 +647,16 @@ def solve_lasso(
             if kkt <= kkt_gate:
                 break
         if finish:
-            polished, products, solves = _polish(A, y, lam, signs, kkt_gate)
+            polished, products, solves, gram = _polish(A, y, lam, signs, kkt_gate)
             matvecs += products
             exact_solves += solves
             if polished is None:
-                pattern, products, solves = _feature_sign(A, y, lam, x, kkt_gate)
+                # x has the support of signs, in the same order, so gram is its A_S^T A_S
+                pattern, products, solves = _feature_sign(A, y, lam, x, kkt_gate, aty, gram)
                 matvecs += products
                 exact_solves += solves
                 if pattern is not None and not np.array_equal(pattern, signs):
-                    polished, products, solves = _polish(A, y, lam, pattern, kkt_gate)
+                    polished, products, solves, _ = _polish(A, y, lam, pattern, kkt_gate)
                     matvecs += products
                     exact_solves += solves
             if polished is not None:
@@ -673,12 +752,15 @@ def run_grid(
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="lasso-mismatch-draw") as pool:
         ahead = pool.submit(draw, 0)
         for i in range(trials):
-            # once inst moves on, trial i - 1 is no longer referenced, so its buffer is free
+            # once inst moves on, trial i - 1 is no longer read, so its buffer
+            # is free; the draw goes first, since at n = 1024 it takes about
+            # as long as the trial's set-up and solve
             inst = ahead.result()
             if i + 1 < trials:
                 ahead = pool.submit(draw, i + 1)
+            prob = _prepare(inst.A, inst.y)
             for lam, cell in zip(lambdas, cells):
-                res = solve_lasso(inst.A, inst.y, lam)
+                res = _solve(prob, lam, _TOL, _MAX_ITER)
                 cell.append((*empirical_metrics(res.x_hat, inst, xi),
                              res.iters, res.kkt_residual, res.converged))
     return tuple(_report(cell) for cell in cells)

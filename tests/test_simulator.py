@@ -3,7 +3,6 @@ cases and a coordinate-descent oracle, step certification, the exact solve on
 the identified support, metric counting, the trial-first lambda grid,
 determinism, and the Monte Carlo against the theory over the parameter range."""
 
-import functools
 import math
 import os
 import subprocess
@@ -468,6 +467,13 @@ class TestFeatureSign:
         monkeypatch.setattr(simulator, "_feature_sign", spy)
         return calls
 
+    @staticmethod
+    def _search(A, y, lam, x, gate):
+        # the search as solve_lasso calls it, with A^T y and the Gram matrix
+        # of x's support formed beforehand
+        A_s = A[:, np.flatnonzero(x)]
+        return simulator._feature_sign(A, y, lam, x, gate, A.T @ y, A_s.T @ A_s)
+
     def test_small_lambda_ends_at_the_first_settled_pattern(self, monkeypatch):
         # fig-2 grid at lambda = 0.01, trial 2 of seed 0: FISTA alone took 457
         # iterations; the search corrects the second settled pattern (198 of
@@ -534,9 +540,9 @@ class TestFeatureSign:
         assert np.max(np.abs(A[:, m:].T @ (A_s @ x_qp - y))) > 2 * lam
         x = np.zeros(n)
         x[:m] = 0.5 * x_qp
-        # r, A^T y, the Gram matrix, one step to the QP solution and one gradient
-        assert simulator._feature_sign(A, y, lam, x, 1e-9) == (None, 5, 1)
-        pattern, _, _ = simulator._feature_sign(A_s, y, lam, x[:m], 1e-9)
+        # r, one step to the QP solution and one gradient
+        assert self._search(A, y, lam, x, 1e-9) == (None, 3, 1)
+        pattern, _, _ = self._search(A_s, y, lam, x[:m], 1e-9)
         assert np.array_equal(pattern, theta)
 
     @staticmethod
@@ -563,14 +569,14 @@ class TestFeatureSign:
     def test_declines_a_dependent_column(self):
         # from x = e_0 the search steps to the solution on {0}, where column
         # 1 = 2 column 0 violates by lam; its Schur complement is zero, so the
-        # search declines after r, A^T y, the Gram matrix, the step, the
-        # gradient and the violator's Gram column.  A column equal to an active one cannot get
-        # here: its gradient is that of the active column, within the gate.
+        # search declines after r, the step, the gradient and the violator's
+        # Gram column.  A column equal to an active one cannot get here: its
+        # gradient is that of the active column, within the gate.
         A, y, lam = self._parallel_columns(2.0)
         assert int(np.argmax(np.abs(A.T @ y))) == 1
         x = np.zeros(16)
         x[0] = 0.01
-        assert simulator._feature_sign(A, y, lam, x, 1e-12) == (None, 6, 1)
+        assert self._search(A, y, lam, x, 1e-12) == (None, 4, 1)
 
     def test_gives_up_after_its_step_budget(self, monkeypatch):
         # from x = 0 the search adds at most one entry a step, and this
@@ -581,16 +587,16 @@ class TestFeatureSign:
         y = rng.normal(size=60)
         lam = 0.05 * float(np.max(np.abs(A.T @ y)))
         x = np.zeros(80)
-        assert simulator._feature_sign(A, y, lam, x, 1e-9)[0] is None
+        assert self._search(A, y, lam, x, 1e-9)[0] is None
         monkeypatch.setattr(simulator, "_SEARCH_STEPS", 200)
-        pattern = simulator._feature_sign(A, y, lam, x, 1e-9)[0]
+        pattern = self._search(A, y, lam, x, 1e-9)[0]
         ref = cd_lasso(A, y, lam)
         assert np.count_nonzero(ref) == 46
         assert np.array_equal(pattern, np.sign(ref))
 
     def test_singular_gram_is_declined(self):
         # a zero column makes A_S^T A_S exactly singular: the exact solve
-        # and the search's first inverse both decline (solve_lasso never
+        # and the search's Cholesky factor both decline (solve_lasso never
         # puts a zero column in a pattern, since its gradient is zero)
         rng = np.random.default_rng(0)
         A = rng.normal(size=(12, 16))
@@ -598,17 +604,39 @@ class TestFeatureSign:
         y = rng.normal(size=12)
         signs = np.zeros(16)
         signs[[2, 3, 5]] = 1.0
-        assert simulator._polish(A, y, 0.1, signs, 1e-9) == (None, 2, 1)
+        found, products, solves, gram = simulator._polish(A, y, 0.1, signs, 1e-9)
+        assert (found, products, solves) == (None, 2, 1)
+        assert gram.shape == (3, 3) and not gram[1].any()
+        # the search gets the Gram matrix _polish formed; it takes r and the
+        # factorization that fails
         x = 0.1 * signs
-        assert simulator._feature_sign(A, y, 0.1, x, 1e-9) == (None, 3, 1)
+        assert simulator._feature_sign(A, y, 0.1, x, 1e-9, A.T @ y, gram) == (None, 1, 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 47, 200, 257])
+    def test_cholesky_inverse_matches_linalg_inv(self, k):
+        # the search's starting inverse L^-T L^-1 against LAPACK's LU inverse,
+        # on Gram matrices with condition numbers up to 32; sizes 3, 47, 200
+        # and 257 leave a shorter last pair in some passes of _tril_inv
+        rng = np.random.default_rng(k)
+        A_s = rng.normal(size=(2 * k + 10, k))
+        gram = A_s.T @ A_s
+        L = np.linalg.cholesky(gram)
+        L_inv = simulator._tril_inv(L)
+        assert not np.triu(L_inv, 1).any()
+        eye = np.eye(k)
+        assert np.max(np.abs(L @ L_inv - eye)) <= 1e-13
+        ref = np.linalg.inv(gram)
+        inv = L_inv.T @ L_inv
+        assert np.array_equal(inv, inv.T)
+        assert np.max(np.abs(inv - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_counts_cover_the_search(self, monkeypatch):
         # every product of the search reaches matvecs, and every dense
         # factorization reaches exact_solves: here the solve of a rejected
-        # pattern, the inverse the search starts from and the solve of the
-        # accepted pattern
+        # pattern, the Cholesky factor the search starts from and the solve
+        # of the accepted pattern
         factorizations = []
-        for name in ("solve", "inv"):
+        for name in ("solve", "inv", "cholesky"):
             original = getattr(np.linalg, name)
 
             def counting(*args, _original=original, **kwargs):
@@ -937,8 +965,8 @@ class TestRunTrials:
         assert a == b
 
     def test_nonconverged_counted_not_dropped(self, monkeypatch):
-        # starve the solver at a lambda small enough that zero is never optimal
-        monkeypatch.setattr(simulator, "solve_lasso", functools.partial(solve_lasso, max_iter=2))
+        # starve run_grid's solves at a lambda small enough that zero is never optimal
+        monkeypatch.setattr(simulator, "_MAX_ITER", 2)
         cfg = CFG.with_lam(0.301)
         rep = run_trials(cfg, PRIOR, n=64, trials=3, xi=1e-3, seed=1)
         for col in (rep.mse, rep.phi_on, rep.phi_off, rep.iters, rep.kkt_residual,
@@ -1037,6 +1065,46 @@ class TestRunGrid:
                 assert getattr(rep, name) == tuple(row[j] for row in cell), name
         assert reports == tuple(simulator._report(cell) for cell in cells)
 
+    def test_prepared_solves_equal_solve_lasso(self, monkeypatch):
+        # run_grid checks and forms each trial's lambda-independent data once;
+        # each of its solves equals solve_lasso on the same instance, bit for
+        # bit, on a fig-2 grid whose lambda = 0.01 runs the feature-sign
+        # search and whose lambda = 50 exits at x = 0
+        instances, solves, searches = [], [], []
+        prepare, solve, search = simulator._prepare, simulator._solve, simulator._feature_sign
+
+        def preparing(A, y):
+            # copies, since the next draws reuse the buffers
+            instances.append((A.copy(), y.copy()))
+            return prepare(A, y)
+
+        def solving(prob, lam, tol, max_iter):
+            res = solve(prob, lam, tol, max_iter)
+            solves.append((len(instances) - 1, lam, res))
+            return res
+
+        def searching(*args):
+            out = search(*args)
+            searches.append(out[0] is not None)
+            return out
+
+        monkeypatch.setattr(simulator, "_prepare", preparing)
+        monkeypatch.setattr(simulator, "_solve", solving)
+        monkeypatch.setattr(simulator, "_feature_sign", searching)
+        fig2 = ModelConfig(delta=0.8, kappa=0.1, eps2=0.2, sigma_z2=0.2, lam=0.01)
+        run_grid(fig2, PRIOR, n=128, trials=3, xi=1e-3, seed=0, lambdas=(0.01, 0.41, 50.0))
+        monkeypatch.undo()
+        assert len(instances) == 3
+        assert [(i, lam) for i, lam, _ in solves] == [
+            (i, lam) for i in range(3) for lam in (0.01, 0.41, 50.0)]
+        assert any(searches)
+        for i, lam, res in solves:
+            plain = solve_lasso(*instances[i], lam)
+            assert (res.iters == 0) == (lam == 50.0)
+            assert np.array_equal(res.x_hat, plain.x_hat)
+            assert (res.iters, res.kkt_residual, res.matvecs, res.exact_solves) == (
+                plain.iters, plain.kkt_residual, plain.matvecs, plain.exact_solves)
+
     def test_draw_error_is_raised_and_helper_joined(self, monkeypatch):
         boom = RuntimeError("draw failed")
         drawn = []
@@ -1068,14 +1136,16 @@ class TestRunGrid:
             time.sleep(0.05)
             return generate_instance(*args, **kwargs)
 
+        solve = simulator._solve
+
         def failing(*args, **kwargs):
             solves.append(1)
             if len(solves) == 5:
                 raise RuntimeError("solve failed")
-            return solve_lasso(*args, **kwargs)
+            return solve(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "generate_instance", drawing)
-        monkeypatch.setattr(simulator, "solve_lasso", failing)
+        monkeypatch.setattr(simulator, "_solve", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="solve failed"):
             run_grid(CFG, PRIOR, n=64, trials=6, xi=1e-3, seed=2, lambdas=self.GRID)
