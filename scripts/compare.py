@@ -11,11 +11,12 @@ the script runs each side's own `perfbench/run.py --trace 0` in pairs,
 alternating which side goes first, and reports per end-to-end metric both
 sides' values, medians and quartiles, the change's wins (ties count for
 neither) and whether the change is worse than the parent's median by more
-than the metric's bound.  It then writes five CSVs with each side's CLI and
-compares them byte for byte: fig-1 theory, fig-2 `--mode both --n 256
---trials 50` at seeds 0 and 7, and the n = 1,024, lambda = 0.41 simulate
-run at seeds 0 and 7.  Last it runs both sides' `tests/stress_lasso.py`
-and `tests/stress_saddle.py` and keeps their printed totals.  Everything
+than the metric's bound.  It then writes six CSVs with each side's CLI and
+compares them byte for byte: fig-1 theory, the delta = 2 theory sweep on
+fig 1's lambdas, fig-2 `--mode both --n 256 --trials 50` at seeds 0 and 7,
+and the n = 1,024, lambda = 0.41 simulate run at seeds 0 and 7.  Last it
+runs both sides' `tests/stress_lasso.py` and `tests/stress_saddle.py`,
+keeps their printed totals and compares them line by line.  Everything
 goes to BENCH_<topic>.json at the repository root.  When perfbench/ or
 BENCHMARK.json differ between the sides, the two sides run different
 harnesses; the script says so on stderr and in the file.  Every process
@@ -40,6 +41,10 @@ FIG2_LARGE = ["--delta", "0.8", "--kappa", "0.1", "--eps2", "0.2", "--snr", "0.5
               "--lambda-list", "0.41", "--mode", "simulate", "--n", "1024", "--trials", "16"]
 CSVS = {
     "fig1_theory": ["--reproduce-fig", "1", "--mode", "theory"],
+    # the theory-sweep benchmark's delta = 2 grid: fig 1's 60 lambdas
+    "delta2_theory": ["--delta", "2.0", "--kappa", "0.1", "--eps2", "0.5", "--snr", "0.5",
+                      "--lambda-list", ",".join(repr(round(0.001 + 0.1 * i, 3)) for i in range(60)),
+                      "--mode", "theory"],
     "fig2_n256_seed0": ["--reproduce-fig", "2", "--mode", "both", "--n", "256",
                         "--trials", "50", "--seed", "0"],
     "fig2_n256_seed7": ["--reproduce-fig", "2", "--mode", "both", "--n", "256",
@@ -135,19 +140,22 @@ def write_csvs(side: Path, dest: Path) -> None:
                        cwd=side, env=env, check=True, capture_output=True)
 
 
+def first_difference(a: list[str], b: list[str]) -> dict:
+    """The first line number at which the parent's lines `a` and the change's `b`
+    differ, and each side's line there (None past its end)."""
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return {"first_differing_line": i + 1,
+            "parent": a[i] if i < len(a) else None,
+            "change": b[i] if i < len(b) else None}
+
+
 def compare_csvs(parent: Path, change: Path) -> dict:
     """Per CSV: "identical", or the first differing line of each side."""
     out = {}
     for name in CSVS:
         a, b = ((side / f"{name}.csv").read_bytes() for side in (parent, change))
-        if a == b:
-            out[name] = "identical"
-            continue
-        a, b = a.decode().splitlines(), b.decode().splitlines()
-        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-        out[name] = {"first_differing_line": i + 1,
-                     "parent": a[i] if i < len(a) else None,
-                     "change": b[i] if i < len(b) else None}
+        out[name] = "identical" if a == b else first_difference(
+            a.decode().splitlines(), b.decode().splitlines())
     return out
 
 
@@ -161,6 +169,20 @@ def stress(side: Path) -> dict:
                               check=False)
         out[script] = {"status": proc.returncode, "seconds": time.perf_counter() - t0,
                        "output": proc.stdout.strip().splitlines()}
+    return out
+
+
+def compare_stress(parent: dict, change: dict) -> dict:
+    """Per stress script: `identical`, true when both sides exit alike and print the same
+    lines; otherwise also whether the exit status matches and the first differing line."""
+    out = {}
+    for script in STRESS:
+        a, b = parent[script], change[script]
+        same_status = a["status"] == b["status"]
+        out[script] = {"identical": same_status and a["output"] == b["output"]}
+        if not out[script]["identical"]:
+            out[script].update(same_status=same_status,
+                               **first_difference(a["output"], b["output"]))
     return out
 
 
@@ -212,6 +234,8 @@ def main(argv=None) -> int:
             write_csvs(path, Path(tmp) / f"csv-{side}")
         result["csvs"] = compare_csvs(Path(tmp) / "csv-parent", Path(tmp) / "csv-change")
         result["stress"] = {side: stress(path) for side, path in sides.items()}
+        result["stress_compared"] = compare_stress(result["stress"]["parent"],
+                                                   result["stress"]["change"])
     result["seconds"] = time.perf_counter() - started
     out = ROOT / f"BENCH_{args.topic}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")

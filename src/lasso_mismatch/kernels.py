@@ -110,15 +110,22 @@ def _gauss_moments(mu: float, tau: float, chi: float) -> tuple[float, float, flo
 
     All five come from one set of Q and phi values; at mu == 0 (a prior's
     zero atom) -u- is u+ exactly, so Q(-u-) and phi(u-) are Q(u+) and phi(u+).
-    Arguments are not checked; gauss_expect_e is the checked entry point.
+    Q and phi are `_q`'s and `_pdf`'s expressions written out, which give the
+    same bits without a call per value: the saddle solver evaluates this for
+    every atom on every step.  Arguments are not checked; gauss_expect_e is
+    the checked entry point.
     """
+    erfc, exp = math.erfc, math.exp
     up = (chi - mu) / tau
     um = (-chi - mu) / tau
-    q_up, q_um, p_up = _q(up), _q(um), _pdf(up)
+    q_up = 0.5 * erfc(up * _INV_SQRT2)
+    q_um = 0.5 * erfc(um * _INV_SQRT2)
+    p_up = exp(-0.5 * up * up) / _SQRT_2PI
     if mu == 0.0:
         q_mum, p_um = q_up, p_up
     else:
-        q_mum, p_um = _q(-um), _pdf(um)
+        q_mum = 0.5 * erfc(-um * _INV_SQRT2)
+        p_um = exp(-0.5 * um * um) / _SQRT_2PI
     tails = um * p_um - up * p_up
     # a > chi and a < -chi branches of e
     upper = (chi * mu - 0.5 * chi * chi) * q_up + chi * tau * p_up
@@ -136,11 +143,17 @@ def _gauss_moments(mu: float, tau: float, chi: float) -> tuple[float, float, flo
 def _gauss_sq_error(mu: float, tau: float, chi: float, v: float) -> float:
     """E[(eta(a; chi) - v)^2] for a = mu + tau*H, summed over the three branches of eta.
 
-    Arguments are not checked; predict_mse checks tau and chi once per call.
+    Q and phi are written out as in `_gauss_moments`.  Arguments are not
+    checked; predict_mse checks tau and chi once per call.
     """
+    erfc, exp = math.erfc, math.exp
     up = (chi - mu) / tau
     um = (-chi - mu) / tau
-    q_up, q_um, q_mum, p_up, p_um = _q(up), _q(um), _q(-um), _pdf(up), _pdf(um)
+    q_up = 0.5 * erfc(up * _INV_SQRT2)
+    q_um = 0.5 * erfc(um * _INV_SQRT2)
+    q_mum = 0.5 * erfc(-um * _INV_SQRT2)
+    p_up = exp(-0.5 * up * up) / _SQRT_2PI
+    p_um = exp(-0.5 * um * um) / _SQRT_2PI
     c, d = mu - chi - v, mu + chi - v
     # a > chi and a < -chi branches, then the dead zone where eta = 0
     return (

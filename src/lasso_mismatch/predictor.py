@@ -130,8 +130,16 @@ class ModelConfig:
         return replace(cfg, sigma_z2=sigma_z2)
 
     def with_lam(self, lam: float) -> "ModelConfig":
-        """This configuration at regularization weight lam, checked as any other."""
-        return ModelConfig(self.delta, self.kappa, self.eps2, self.sigma_z2, lam)
+        """This configuration at regularization weight lam, equal to the constructor's result.
+
+        lam is checked as the constructor checks it and stored as a float.  The
+        other fields and gamma are copied from self, which was checked when it
+        was built, so a sweep or a lambda search, which make one per lambda,
+        do not check them again.
+        """
+        cfg = object.__new__(type(self))
+        cfg.__dict__.update(self.__dict__, lam=_check_positive("lam", lam))
+        return cfg
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,13 @@ class Prior:
 
     Atoms are stored sorted by value; values must be distinct and finite,
     probabilities in (0, 1] and summing to one within 1e-12.  E[X^2] is
-    computed once here: the saddle solver reads it on every gradient.
+    computed once here: the saddle solver reads it on every gradient.  So
+    are the renormalized nonzero atoms, which every support prediction reads.
     """
 
     atoms: tuple[tuple[float, float], ...]
     _second_moment: float = field(init=False, repr=False, compare=False)
+    _nonzero_atoms: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.atoms:
@@ -48,18 +50,23 @@ class Prior:
             raise ValueError(f"probabilities sum to {total}, expected 1 within {_PROB_TOL}")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_second_moment", sum(p * v * v for v, p in atoms))
+        nz = [(v, p) for v, p in atoms if v != 0.0]
+        mass = sum(p for _, p in nz)
+        object.__setattr__(self, "_nonzero_atoms", tuple((v, p / mass) for v, p in nz))
 
     def second_moment(self) -> float:
         """E[X^2] of the marginal."""
         return self._second_moment
 
     def nonzero_atoms(self) -> tuple[tuple[float, float], ...]:
-        """Atoms conditioned on being nonzero, probabilities renormalized."""
-        nz = [(v, p) for v, p in self.atoms if v != 0.0]
-        if not nz:
+        """Atoms conditioned on being nonzero, probabilities renormalized.
+
+        Computed once at construction; a prior with no nonzero atom is valid
+        and raises ValueError here.
+        """
+        if not self._nonzero_atoms:
             raise ValueError("prior has no nonzero atoms")
-        mass = sum(p for _, p in nz)
-        return tuple((v, p / mass) for v, p in nz)
+        return self._nonzero_atoms
 
 
 def sparse_bernoulli(kappa: float) -> Prior:

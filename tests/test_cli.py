@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -394,3 +395,41 @@ class TestMainExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+class TestTheoryOutputIsFrozen:
+    """The theory CSVs of fig 1 and of the delta = 2 sweep, against committed copies.
+
+    tests/data/fig1_theory.csv is `--reproduce-fig 1 --mode theory`, and
+    tests/data/delta2_theory.csv is `--delta 2.0 --kappa 0.1 --eps2 0.5
+    --snr 0.5 --mode theory` on fig 1's 60 lambdas.  A change to the theory
+    path that moves a printed number fails here.  The header and lambda
+    column must match exactly and every other cell within 1e-12 relative,
+    which forgives another platform's last-bit libm differences.
+    """
+
+    DATA = Path(__file__).resolve().parent / "data"
+    GRID = ",".join(repr(round(0.001 + 0.1 * i, 3)) for i in range(60))
+    SWEEPS = {
+        "fig1_theory.csv": ["--reproduce-fig", "1", "--mode", "theory"],
+        "delta2_theory.csv": ["--delta", "2.0", "--kappa", "0.1", "--eps2", "0.5",
+                              "--snr", "0.5", "--lambda-list", GRID, "--mode", "theory"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_matches_the_committed_copy(self, name):
+        out = io.StringIO()
+        emit_csv(run_sweep(parse_args(self.SWEEPS[name])), out)
+        got = list(csv.reader(io.StringIO(out.getvalue())))
+        with open(self.DATA / name, newline="") as fh:
+            want = list(csv.reader(fh))
+        assert got[0] == want[0] == list(CSV_COLUMNS)
+        assert len(got) == len(want) == 61
+        for got_row, want_row in zip(got[1:], want[1:]):
+            assert got_row[0] == want_row[0]
+            for col, g, w in zip(CSV_COLUMNS[1:], got_row[1:], want_row[1:]):
+                if w == "":
+                    assert g == "", (want_row[0], col)
+                else:
+                    assert math.isclose(float(g), float(w), rel_tol=1e-12, abs_tol=0.0), \
+                        (want_row[0], col, g, w)

@@ -74,12 +74,29 @@ class TestModelConfig:
         assert cfg.snr == pytest.approx(0.5, abs=1e-15)
 
     def test_with_lam_checks_lam_and_keeps_the_rest(self):
-        cfg = REF_CFG.with_lam(0.3)
-        assert cfg == ModelConfig(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=0.3)
-        assert cfg.gamma == REF_CFG.gamma == math.sqrt(1.0 - 0.1)
+        # with_lam copies the checked fields instead of constructing, so its
+        # result must be indistinguishable from the constructor's
+        for lam in (0.3, 3, 1e-300, 1e300):
+            cfg = REF_CFG.with_lam(lam)
+            built = ModelConfig(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=lam)
+            assert type(cfg) is ModelConfig
+            assert cfg == built and hash(cfg) == hash(built) and repr(cfg) == repr(built)
+            assert type(cfg.lam) is float and cfg.lam == lam
+            assert cfg.gamma.hex() == built.gamma.hex() == REF_CFG.gamma.hex()
+        assert REF_CFG.with_lam(0.3).gamma == math.sqrt(1.0 - 0.1)
         for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="^lam must"):
+            with pytest.raises(ValueError) as want:
+                ModelConfig(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=bad)
+            with pytest.raises(ValueError, match="^lam must") as got:
                 REF_CFG.with_lam(bad)
+            assert str(got.value) == str(want.value)
+
+        class Tagged(ModelConfig):
+            pass
+
+        cfg = Tagged(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=1.0).with_lam(0.5)
+        assert type(cfg) is Tagged
+        assert cfg == Tagged(delta=0.8, kappa=0.1, eps2=0.1, sigma_z2=0.2, lam=0.5)
 
     def test_from_snr(self):
         cfg = ModelConfig.from_snr(delta=0.8, kappa=0.1, eps2=0.1, snr=0.5, lam=1.0)

@@ -51,6 +51,36 @@ class TestConstruction:
         assert p.second_moment() == pytest.approx(0.1, abs=1e-15)
         assert p.nonzero_atoms() == ((1.0, 1.0),)
 
+    @pytest.mark.parametrize("atoms", [
+        ((0.0, 0.9), (1.0, 0.1)),
+        ((-1.5, 0.08), (0.0, 0.8), (0.5, 0.12)),
+        ((2.0, 0.3), (-1.0, 0.2), (0.0, 0.5)),
+        ((-0.7, 0.35), (0.25, 0.4), (3.0, 0.25)),
+        ((0.0, 0.1), (0.1, 0.3), (0.2, 0.3), (0.7, 0.3)),
+    ])
+    def test_nonzero_atoms_are_the_renormalized_atoms(self, atoms):
+        # stored at construction, with the formula it was computed by per call
+        p = Prior(atoms)
+        nz = [(v, w) for v, w in sorted(atoms) if v != 0.0]
+        mass = sum(w for _, w in nz)
+        assert p.nonzero_atoms() == tuple((v, w / mass) for v, w in nz)
+        assert p.nonzero_atoms() is p.nonzero_atoms()
+
+    def test_all_mass_at_zero_is_a_prior_without_nonzero_atoms(self):
+        p = Prior(((0.0, 1.0),))
+        assert p.atoms == ((0.0, 1.0),) and p.second_moment() == 0.0
+        with pytest.raises(ValueError, match="^prior has no nonzero atoms$"):
+            p.nonzero_atoms()
+
+    def test_stored_moments_stay_out_of_eq_hash_and_repr(self):
+        p = Prior(((1.0, 0.25), (-1.0, 0.25), (0.0, 0.5)))
+        q = Prior(((1.0, 0.25), (-1.0, 0.25), (0.0, 0.5)))
+        # priors that differ in the stored moments alone still compare equal
+        object.__setattr__(q, "_second_moment", -1.0)
+        object.__setattr__(q, "_nonzero_atoms", ())
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert repr(p) == "Prior(atoms=((-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)))"
+
 
 class TestExpectations:
     def test_definition_expansion(self):
