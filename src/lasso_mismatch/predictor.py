@@ -39,7 +39,6 @@ __all__ = [
     "PredictionReport",
     "NonConvergenceError",
     "brent_min",
-    "bracketed_root",
     "objective_D",
     "maximize_over_beta",
     "solve_scalar",
@@ -57,8 +56,8 @@ _SQRT_EPS = math.sqrt(2.0 ** -52)
 ROOT_REL_TOL = 1e-12
 ROOT_MAX_EVALS = 100
 OUTER_MAX_ITERS = 200
-BRACKET_CAP = 1e6
 SADDLE_TOL = 1e-9
+_LAMBDA_TOL = 1e-6  # brent_min's absolute tolerance on lambda
 
 
 class NonConvergenceError(RuntimeError):
@@ -146,8 +145,8 @@ class ModelConfig:
 class ScalarSolution:
     """Saddle point of the scalar min-max problem, certified by its residual.
 
-    outer_iters and inner_iters_total both count the joint Newton steps, one
-    gradient evaluation each.
+    inner_iters_total counts the joint Newton steps, one gradient evaluation
+    each.
     residual is (|tau dD/dtau|, |beta dD/dbeta|), at most SADDLE_TOL * D:
     solve_scalar raises rather than return a saddle that fails this.
     """
@@ -155,7 +154,6 @@ class ScalarSolution:
     tau_star: float
     beta_star: float
     objective: float
-    outer_iters: int
     inner_iters_total: int
     residual: tuple[float, float]
 
@@ -190,20 +188,20 @@ def objective_D(tau: float, beta: float, cfg: ModelConfig, p: Prior) -> float:
     )
 
 
-def brent_min(f, lo: float, hi: float, tol: float, name: str) -> tuple[float, float, int]:
-    """Minimum of f strictly inside (lo, hi) by Brent's method.
+def brent_min(f, lo: float, hi: float) -> tuple[float, float, int]:
+    """Minimum of f(lambda) strictly inside (lo, hi) by Brent's method.
 
     Brent (1973), Algorithms for Minimization without Derivatives, ch. 5:
     each step takes the minimum of the parabola through the three best points
     when that lies inside the bracket and moves less than half the step before
     last, and a golden-section step into the larger side of the bracket
-    otherwise; no step is shorter than t = sqrt(eps) |x| + tol/3.  It stops
-    when the best point x lies within 2t - (b - a)/2 of the bracket's
+    otherwise; no step is shorter than t = sqrt(eps) |x| + _LAMBDA_TOL/3.  It
+    stops when the best point x lies within 2t - (b - a)/2 of the bracket's
     midpoint, so within 2t of a local minimum; f is never evaluated at lo
-    or hi.  Returns (x, f(x), evaluations).  Raises NonConvergenceError, naming
-    the search by `name`, when OUTER_MAX_ITERS steps do not reach that
-    test, and when x ends within 2t of lo or hi, where a minimum at or beyond
-    that end cannot be told from one inside.
+    or hi.  Returns (x, f(x), evaluations).  Raises NonConvergenceError when
+    OUTER_MAX_ITERS steps do not reach that test, and when x ends within 2t
+    of lo or hi, where a minimum at or beyond that end cannot be told from
+    one inside.
     """
     a, b = float(lo), float(hi)
     x = w = v = a + _GOLDEN * (b - a)
@@ -212,13 +210,13 @@ def brent_min(f, lo: float, hi: float, tol: float, name: str) -> tuple[float, fl
     step = last = 0.0  # the latest step and the one before it (Brent's d and e)
     while True:
         mid = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        tol1 = _SQRT_EPS * abs(x) + _LAMBDA_TOL / 3.0
         tol2 = 2.0 * tol1
         if abs(x - mid) <= tol2 - 0.5 * (b - a):
             break
         if evals > OUTER_MAX_ITERS:
             raise NonConvergenceError(
-                f"{name} search did not converge within {OUTER_MAX_ITERS} iterations")
+                f"lambda search did not converge within {OUTER_MAX_ITERS} iterations")
         p = q = 0.0
         if abs(last) > tol1:
             r = (x - w) * (fx - fv)
@@ -256,77 +254,9 @@ def brent_min(f, lo: float, hi: float, tol: float, name: str) -> tuple[float, fl
     for end in (lo, hi):
         if abs(x - end) <= tol2:
             raise NonConvergenceError(
-                f"{name} minimum not certified inside ({lo:g}, {hi:g}): the search ended "
+                f"lambda minimum not certified inside ({lo:g}, {hi:g}): the search ended "
                 f"at {x:.9g}, within {tol2:.2g} of the interval end {end:g}")
     return x, fx, evals
-
-
-def bracketed_root(f, lo: float, hi: float, name: str, *, start: float = math.nan,
-                   **context) -> tuple[float, int]:
-    """Root of an increasing f on [lo, inf), with f(lo) < 0, by safeguarded Newton steps.
-
-    f returns (value, slope).  The search evaluates start if lo < start <= hi,
-    and lo otherwise; each point then replaces the end of [lo, hi] on its side
-    of the sign change.  The next point is the Newton point of the last one
-    when that lies strictly inside the bracket and, with both ends known, the
-    step is at most half the move before last (Press et al.'s test, which a
-    search bouncing across the root fails).  Otherwise it is the end on the
-    root's side if f is not yet known there: lo, where f must be negative, or
-    hi, which doubles while f(hi) < 0, up to BRACKET_CAP times its starting
-    value.  With both ends known it is the midpoint.  Stops when f vanishes,
-    when the Newton step is at most ROOT_REL_TOL times the point, or when the
-    bracket is at most ROOT_REL_TOL * lo wide; returns (last point, number of
-    f evaluations).  Otherwise raises NonConvergenceError, whose `name`
-    attribute ("tau" or "beta") carries the last point and `context` the rest.
-    It raises it too, without evaluating f there, at a point that is not
-    positive: a bracket end that underflowed to 0 at an extreme configuration.
-    """
-
-    def failure(message: str, last: float) -> NonConvergenceError:
-        where = "".join(f" at {k}={v:g}" for k, v in context.items())
-        return NonConvergenceError(message + where, **{name: last}, **context)
-
-    cap = BRACKET_CAP * hi
-    x = start if lo < start <= hi else lo
-    lo_known = hi_known = False
-    evals = 0
-    prev = prev2 = math.nan  # the two points before x; a nan move stalls nothing
-    while evals < ROOT_MAX_EVALS:
-        # tau and beta are positive; f divides by them
-        if not x > 0.0:
-            raise failure(f"{name} search reached the nonpositive point {x:g}", x)
-        fx, slope = f(x)
-        evals += 1
-        if fx < 0.0:
-            if x == hi:
-                hi = 2.0 * hi
-                if hi > cap:
-                    raise failure(f"{name} bracket exceeded cap {cap:g}", hi)
-            lo, lo_known = x, True
-        elif math.isnan(fx):
-            raise failure(f"{name} root search met a NaN", x)
-        elif x == lo:  # evaluated only while f(lo) is unknown
-            raise failure(f"{name} root is not above {lo:g}", lo)
-        elif fx > 0.0:
-            hi, hi_known = x, True
-        else:
-            return x, evals
-        step = fx / slope if slope > 0.0 else math.nan
-        closed = lo_known and hi_known and hi - lo <= ROOT_REL_TOL * lo
-        if abs(step) <= ROOT_REL_TOL * x or closed:
-            return x, evals
-        x_next = x - step
-        stalled = lo_known and hi_known and abs(step) > 0.5 * abs(prev - prev2)
-        prev2, prev = prev, x
-        if lo < x_next < hi and not stalled:
-            x = x_next
-        elif not hi_known:
-            x = hi
-        elif not lo_known:
-            x = lo
-        else:
-            x = 0.5 * (lo + hi)
-    raise failure(f"{name} root not found within {ROOT_MAX_EVALS} evaluations", x)
 
 
 def _derivatives(tau: float, beta: float, cfg: ModelConfig,
@@ -366,7 +296,7 @@ def _beta_root(tau: float, cfg: ModelConfig, p: Prior
     """Root of dD/dbeta at tau: (beta, `_derivatives` at (tau, beta), evaluations).
 
     The root solves beta = tau (delta - 1) + (s^2 + E min(a^2, chi^2))/tau,
-    chi = 2 lam tau / beta, so it lies below tau delta + (sigma_z^2 + E[X^2])/tau
+    chi = 2 lam tau / beta, so it lies below hi = tau delta + (sigma_z^2 + E[X^2])/tau
     and above both tau (delta - 1) + s^2/tau and min(b, tau delta/2 + s^2/tau),
     b = lam sqrt(8 delta/3): |a| stochastically dominates |tau H| (Anderson's
     inequality), and (x - c^2)_+ <= x^2/(4 c^2) gives E min(H^2, c^2) >=
@@ -375,29 +305,56 @@ def _beta_root(tau: float, cfg: ModelConfig, p: Prior
     as the root does when lam -> 0 at delta < 1.  The bracket's low end lo is
     half the larger bound, since at small lambda the root can sit on the first
     one itself, within rounding of the gradient's terms.  The search starts at
-    the upper bound hi, the root's limit as lam -> inf, where chi -> inf and
-    E min(a^2, chi^2) -> E[a^2] = gamma^2 E[X^2] + tau^2 (the limit
-    `solve_scalar` starts from too): at large lambda it is the root within
-    rounding, and the Newton steps from it come down toward the root.  lo is
-    the fallback for a Newton point below the bracket.  The derivatives are
-    those of the search's last evaluation, which is at the returned beta.
-    This bracketed search is independent of `solve_scalar`'s joint iteration,
-    which `maximize_over_beta` can check.
+    hi, the root's limit as lam -> inf, and each point replaces the bracket's
+    end on its side of the root.  The next is the Newton point when that lies
+    inside the bracket and, once a point below the root is known, moves at most
+    half the move before last (Press et al.'s test, failed by a search that
+    bounces across the root); otherwise it is lo while no point below the root
+    is known, and the midpoint after that.  It stops when dD/dbeta vanishes, at
+    a Newton step within ROOT_REL_TOL of the point, or at a known bracket at
+    most ROOT_REL_TOL * lo wide.  It raises NonConvergenceError, with tau and
+    the last beta, at a NaN, at a root not above lo or not below hi (rounding
+    can break the bounds), at a point that is not positive (an underflowed
+    bound) and after ROOT_MAX_EVALS evaluations.  This search is independent of
+    the joint one, which `maximize_over_beta` checks.
     """
-    last = ()
-
-    def f(beta: float) -> tuple[float, float]:
-        nonlocal last
-        last = _derivatives(tau, beta, cfg, p)
-        return -last[1], last[2]
+    def failure(message: str, beta: float) -> NonConvergenceError:
+        return NonConvergenceError(f"beta {message} at tau={tau:g}", tau=tau, beta=beta)
 
     ex2 = p.second_moment()
     noise = (cfg.sigma_z2 + cfg.eps2 * ex2) / tau
     hi = tau * cfg.delta + (cfg.sigma_z2 + ex2) / tau
     lo = 0.5 * max(tau * (cfg.delta - 1.0) + noise,
                    min(cfg.lam * math.sqrt(8.0 * cfg.delta / 3.0), 0.5 * tau * cfg.delta + noise))
-    beta, evals = bracketed_root(f, lo, hi, "beta", start=hi, tau=tau)
-    return beta, last, evals
+    beta, lo_known = hi, False
+    prev = prev2 = math.nan  # the two points before beta; a nan move stalls nothing
+    for evals in range(1, ROOT_MAX_EVALS + 1):
+        if not beta > 0.0:
+            raise failure(f"search reached the nonpositive point {beta:g}", beta)
+        last = _derivatives(tau, beta, cfg, p)
+        f = -last[1]
+        if f < 0.0:
+            lo, lo_known = beta, True
+        elif math.isnan(f):
+            raise failure("root search met a NaN", beta)
+        elif beta == lo:  # evaluated only while no point below the root is known
+            raise failure(f"root is not above {lo:g}", lo)
+        elif f > 0.0:
+            hi = beta
+        else:
+            return beta, last, evals
+        step = f / last[2] if last[2] > 0.0 else math.nan
+        if abs(step) <= ROOT_REL_TOL * beta or lo_known and 0.0 < hi - lo <= ROOT_REL_TOL * lo:
+            return beta, last, evals
+        if lo == hi:  # f(hi) < 0: rounding broke the upper bound
+            raise failure(f"root is not below {hi:g}", hi)
+        stalled = lo_known and abs(step) > 0.5 * abs(prev - prev2)
+        prev2, prev = prev, beta
+        if lo < beta - step < hi and not stalled:
+            beta -= step
+        else:
+            beta = 0.5 * (lo + hi) if lo_known else lo
+    raise failure(f"root not found within {ROOT_MAX_EVALS} evaluations", beta)
 
 
 def maximize_over_beta(tau: float, cfg: ModelConfig, p: Prior) -> tuple[float, float, int]:
@@ -464,7 +421,7 @@ def solve_scalar(cfg: ModelConfig, p: Prior) -> ScalarSolution:
             + ("; the tau slope (about delta^2) or tau dD/dtau (about tau*beta*delta) "
                "overflowed" if overflow else ""), tau=tau, beta=beta)
     return ScalarSolution(tau_star=tau, beta_star=beta, objective=value,
-                          outer_iters=evals, inner_iters_total=evals, residual=residual)
+                          inner_iters_total=evals, residual=residual)
 
 
 def predict_mse(sol: ScalarSolution, cfg: ModelConfig, p: Prior) -> float:
@@ -519,8 +476,8 @@ def optimal_lambda(
 ) -> tuple[float, float]:
     """Minimize the predicted MSE over the regularization weight.
 
-    cfg.lam is ignored.  brent_min searches search_interval to an absolute
-    tolerance of 1e-6, so lambda_opt lies within about 7e-7 of a local
+    cfg.lam is ignored.  brent_min searches search_interval to the absolute
+    tolerance _LAMBDA_TOL = 1e-6, so lambda_opt lies within about 7e-7 of a local
     minimiser of the predicted MSE, and (lambda_opt, mse_opt) is returned only
     when it lies inside the interval.  Raises NonConvergenceError when the
     search ends within its tolerance of either end, naming that end, or when
@@ -534,5 +491,5 @@ def optimal_lambda(
         c = cfg.with_lam(lam)
         return predict_mse(solve_scalar(c, p), c, p)
 
-    lam_opt, mse_opt, _ = brent_min(f, lo, hi, 1e-6, "lambda")
+    lam_opt, mse_opt, _ = brent_min(f, lo, hi)
     return lam_opt, mse_opt

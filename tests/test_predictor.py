@@ -4,6 +4,7 @@ nested golden-section oracle, the exact perfect-knowledge reduction, and the sad
 state-evolution fixed point of the matched LASSO."""
 
 import ast
+import csv
 import math
 import random
 import re
@@ -17,13 +18,11 @@ import pytest
 from lasso_mismatch import predictor
 from lasso_mismatch.kernels import q_function
 from lasso_mismatch.predictor import (
-    BRACKET_CAP,
     ROOT_MAX_EVALS,
     ROOT_REL_TOL,
     SADDLE_TOL,
     ModelConfig,
     NonConvergenceError,
-    bracketed_root,
     maximize_over_beta,
     objective_D,
     optimal_lambda,
@@ -188,6 +187,23 @@ class TestMaximizeOverBeta:
         spacing = grid[1] - grid[0]
         assert abs(b_grid - beta) <= spacing
 
+    def test_matches_the_committed_reference(self):
+        # tests/data/beta_root.csv holds (beta, value, evaluations), floats by
+        # repr, on the fig-1, heavy and three-atom configurations at five tau
+        # and six lambda, as the generic bracketed root finder gave them
+        # before the search got its own loop: it must reproduce every bit
+        configs = {"fig1": (FIG1_CFG, REF_PRIOR), "heavy": (HEAVY_CFG, REF_PRIOR),
+                   "three_atoms": (ATOMS_CFG, ATOMS_PRIOR)}
+        with open(Path(__file__).resolve().parent / "data" / "beta_root.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 * 5 * 6
+        for row in rows:
+            cfg, p = configs[row["config"]]
+            beta, value, evals = maximize_over_beta(float(row["tau"]),
+                                                    cfg.with_lam(float(row["lambda"])), p)
+            assert (repr(beta), repr(value), str(evals)) == (
+                row["beta"], row["value"], row["evals"]), row
+
     def test_vanishing_tau_certified(self):
         # the analytic bracket holds the maximizer at any tau, so a vanishing
         # tau (beta = 2.1e8 at tau = 1e-9) needs no bracket expansion
@@ -199,77 +215,82 @@ class TestMaximizeOverBeta:
                 assert value >= objective_D(tau, probe, REF_CFG, REF_PRIOR), tau
 
 
-def _cube(x):
-    """x^3 - 2 and its slope; the root 2^(1/3) lies above 1."""
-    return x ** 3 - 2.0, 3.0 * x * x
+def _stand_in(monkeypatch, f):
+    """Replace the gradient by f(beta) = (-dD/dbeta, its slope) for `_beta_root`."""
+    def derivatives(tau, beta, cfg, p):
+        value, slope = f(beta)
+        return 0.0, -value, slope, 0.0, 0.0
+
+    monkeypatch.setattr(predictor, "_derivatives", derivatives)
 
 
-def _linear(root):
-    return lambda x: (x - root, 1.0)
+class TestBetaRoot:
+    # at tau = 1 on the reference configuration the bracket is [0.305, 1.1]:
+    # lo = max(-0.2 + 0.21, min(1.201 sqrt(8 * 0.8 / 3), 0.4 + 0.21)) / 2
+    TAU = 1.0
+    LO = 0.5 * (0.5 * 0.8 + (0.2 + 0.1 * 0.1))
+    HI = 0.8 + (0.2 + 0.1)
 
+    def test_returns_its_last_evaluation(self, monkeypatch):
+        calls = []
+        derivatives = predictor._derivatives
 
-class TestBracketedRoot:
-    def test_finds_root_and_counts_evaluations(self):
+        def spy(*args):
+            calls.append(args[1])
+            return derivatives(*args)
+
+        monkeypatch.setattr(predictor, "_derivatives", spy)
+        beta, last, evals = predictor._beta_root(self.TAU, REF_CFG, REF_PRIOR)
+        assert calls[0] == self.HI and calls[-1] == beta and evals == len(calls) >= 3
+        assert last == derivatives(self.TAU, beta, REF_CFG, REF_PRIOR)
+        assert self.LO < beta < self.HI
+
+    def test_root_at_hi_within_rounding_returns_hi(self, monkeypatch):
+        # at large lambda f(hi) rounds either way; a Newton step within
+        # ROOT_REL_TOL of hi ends the search at hi, below the root or not
+        _stand_in(monkeypatch, lambda b: (b - self.HI * (1.0 + 1e-14), 1.0))
+        assert predictor._beta_root(self.TAU, REF_CFG, REF_PRIOR)[::2] == (self.HI, 1)
+
+    @pytest.mark.parametrize("f, message, last", [
+        (lambda b: (math.nan, 1.0), "root search met a NaN", HI),
+        # the Newton point from hi falls below lo, where f is NaN: that is
+        # no evidence that the root lies at or below lo
+        (lambda b: (b if b > 0.5 else math.nan, 1.0), "root search met a NaN", LO),
+        (lambda b: (b, 1.0), "root is not above 0.305", LO),
+        (lambda b: (b - 10.0, 1.0), "root is not below 1.1", HI),
+    ], ids=["nan", "nan_at_lo", "not_above_lo", "not_below_hi"])
+    def test_failures_raise_with_the_last_point(self, monkeypatch, f, message, last):
+        _stand_in(monkeypatch, f)
+        with pytest.raises(NonConvergenceError) as err:
+            predictor._beta_root(self.TAU, REF_CFG, REF_PRIOR)
+        assert str(err.value) == f"beta {message} at tau=1"
+        assert err.value.tau == self.TAU and err.value.beta == last
+
+    def test_nonpositive_point_raises_unevaluated(self, monkeypatch):
+        # lam sqrt(8 delta / 3) / 2 underflows to lo = 0 at lam = 5e-324 and
+        # tau = 10, where tau (delta - 1) + s^2/tau is negative; the Newton
+        # point from hi falls below lo, and lo = 0 is not evaluated
         calls = []
 
-        def f(x):
-            calls.append(x)
-            return _cube(x)
+        def f(beta):
+            calls.append(beta)
+            return beta + 1.0, 1.0
 
-        root, evals = bracketed_root(f, 0.5, 1.0, "tau")
-        assert abs(root - 2.0 ** (1.0 / 3.0)) <= 1e-12
-        assert evals == len(calls) and root == calls[-1]
+        _stand_in(monkeypatch, f)
+        with pytest.raises(NonConvergenceError) as err:
+            predictor._beta_root(10.0, REF_CFG.with_lam(5e-324), REF_PRIOR)
+        assert str(err.value) == "beta search reached the nonpositive point 0 at tau=10"
+        assert err.value.tau == 10.0 and err.value.beta == 0.0 and len(calls) == 1
 
-    def test_root_at_bracket_end_closes_quickly(self):
-        # the root is within rounding of 1, where the first Newton step lands
-        # with f = -1e-17; the next Newton point rounds onto that bracket end,
-        # and the step stop ends the search at once, where a midpoint
-        # fallback would bisect about 40 times
-        root, evals = bracketed_root(lambda x: (x - 1.0 - 1e-17, 1.0), 0.5, 2.0, "tau")
-        assert abs(root - 1.0) <= 1e-12
-        assert evals <= 6
-
-    def test_start_at_the_root_takes_one_evaluation(self):
-        root = 2.0 ** (1.0 / 3.0)
-        assert bracketed_root(_cube, 0.5, 2.0, "tau", start=root) == (root, 1)
-        # a start at or below lo, or above hi, is ignored
-        cold = bracketed_root(_cube, 0.5, 2.0, "tau")
-        for start in (0.5, 2.5):
-            assert bracketed_root(_cube, 0.5, 2.0, "tau", start=start) == cold
-        # a start at hi is evaluated first
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return _cube(x)
-
-        bracketed_root(f, 0.5, 2.0, "tau", start=2.0)
-        assert calls[0] == 2.0
-
-    def test_failures_raise(self, monkeypatch):
-        with pytest.raises(NonConvergenceError, match="not above"):
-            bracketed_root(_linear(0.1), 0.5, 1.0, "tau")
-        # from a start above the root, the Newton point falls below lo, so lo
-        # is evaluated and fails the same test
-        with pytest.raises(NonConvergenceError, match="not above"):
-            bracketed_root(_linear(0.1), 0.5, 1.0, "tau", start=0.7)
-        with pytest.raises(NonConvergenceError, match="cap") as err:
-            bracketed_root(_linear(2.0 * BRACKET_CAP), 0.5, 1.0, "beta", tau=3.0)
-        assert err.value.tau == 3.0 and err.value.beta > BRACKET_CAP
-        with pytest.raises(NonConvergenceError, match="NaN"):
-            bracketed_root(lambda x: (math.nan, 1.0) if 0.5 < x < 1.0 else (x - 0.7, 1.0),
-                           0.5, 1.0, "tau")
-        monkeypatch.setattr(predictor, "ROOT_MAX_EVALS", 5)
-        with pytest.raises(NonConvergenceError, match="within 5 evaluations"):
-            bracketed_root(_cube, 0.5, 1.0, "tau")
-
-    @pytest.mark.parametrize("start", [math.nan, 1.5])
-    def test_nan_is_named_at_the_bracket_low_end_too(self, start):
-        # without a start the first point is lo, where a NaN is no evidence
-        # that the root lies at or below lo
-        with pytest.raises(NonConvergenceError, match="met a NaN") as err:
-            bracketed_root(lambda x: (math.nan, 1.0), 1.0, 2.0, "tau", start=start)
-        assert err.value.tau == (1.0 if math.isnan(start) else 1.5)
+    def test_budget_raises(self, monkeypatch):
+        # Newton's method from hi = 1.1 toward the cube root 0.5 needs more
+        # than three evaluations
+        _stand_in(monkeypatch, lambda b: (b ** 3 - 0.125, 3.0 * b * b))
+        monkeypatch.setattr(predictor, "ROOT_MAX_EVALS", 3)
+        with pytest.raises(NonConvergenceError) as err:
+            predictor._beta_root(self.TAU, REF_CFG, REF_PRIOR)
+        assert str(err.value) == "beta root not found within 3 evaluations at tau=1"
+        assert err.value.tau == self.TAU and 0.5 < err.value.beta < self.HI
 
 
 def _central_gradient(tau, beta, cfg, p, h=1e-5):
@@ -350,8 +371,8 @@ class TestSolveScalar:
     def test_solution_metadata(self):
         sol = solve_scalar(REF_CFG, REF_PRIOR)
         assert sol.tau_star > 0 and sol.beta_star > 0
-        # both fields count the joint Newton steps, one gradient evaluation each
-        assert 3 <= sol.outer_iters == sol.inner_iters_total <= ROOT_MAX_EVALS
+        # the joint Newton steps, one gradient evaluation each
+        assert 3 <= sol.inner_iters_total <= ROOT_MAX_EVALS
         assert sol.objective == objective_D(sol.tau_star, sol.beta_star, REF_CFG, REF_PRIOR)
         g_tau, g_beta, _, _, _ = predictor._derivatives(sol.tau_star, sol.beta_star, REF_CFG,
                                                          REF_PRIOR)
@@ -380,7 +401,6 @@ class TestSolveScalar:
         total = 0
         for lam in GRID:
             sol = solve_scalar(FIG1_CFG.with_lam(lam), REF_PRIOR)
-            assert sol.outer_iters == sol.inner_iters_total
             total += sol.inner_iters_total
         assert total == 183
 
@@ -436,7 +456,7 @@ class TestSolveScalar:
         # the Newton iteration's start is the saddle, found by its one evaluation
         sol = solve_scalar(cfg.with_lam(1e4), p)
         tau0 = math.sqrt((cfg.sigma_z2 + p.second_moment()) / cfg.delta)
-        assert sol.outer_iters == 1
+        assert sol.inner_iters_total == 1
         assert abs(sol.tau_star - tau0) <= 1e-12 * tau0
 
     def test_large_delta_certified(self):
