@@ -2,13 +2,14 @@
 
 Run from the repository root:
 
-    python3 scripts/compare.py --parent HEAD~1 --pairs 10 --topic finisher
+    python3 scripts/compare.py --parent HEAD~1 --pairs 10 --seeds 0,7 --topic finisher
 
 The parent side is `git archive REF` extracted into a temporary directory
 (an archive, not a worktree, so the repository's .git is left as it was);
-the change side is the working tree.  For each workload of BENCHMARK.json
-the script runs each side's own `perfbench/run.py --trace 0` in pairs,
-alternating which side goes first, and reports per end-to-end metric both
+the change side is the working tree.  For each seed of `--seeds` and each
+workload of BENCHMARK.json the script runs each side's own
+`perfbench/run.py --trace 0` in pairs, alternating which side goes first,
+and reports, keyed "<workload> seed <s>", per end-to-end metric both
 sides' values, medians and quartiles, the change's wins (ties count for
 neither) and whether the change is worse than the parent's median by more
 than the metric's bound.  It then writes six CSVs with each side's CLI and
@@ -57,12 +58,20 @@ ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
        "MKL_NUM_THREADS": "1"}
 
 
+def _seeds(text: str) -> tuple[int, ...]:
+    seeds = tuple(int(s) for s in text.split(","))
+    if any(s < 0 for s in seeds) or len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"seeds must be distinct and nonnegative, got {text}")
+    return seeds
+
+
 def _args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("--parent", required=True, help="git revision of the parent side")
     p.add_argument("--pairs", type=int, required=True, help="benchmark pairs per workload")
     p.add_argument("--topic", required=True, help="names the output, BENCH_<topic>.json")
-    p.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
+    p.add_argument("--seeds", type=_seeds, default=(0,),
+                   help="comma-separated workload seeds, e.g. 0,7 (default 0)")
     return p.parse_args(argv)
 
 
@@ -206,28 +215,30 @@ def main(argv=None) -> int:
               "change": {"tree": "working tree", "head": _git("rev-parse", "HEAD"),
                          "dirty_paths": _git("status", "--porcelain").splitlines()},
               "harness_differs": harness_differs,
-              "command": (f"perfbench/run.py --workload W --seed {args.seed} --seconds "
-                          f"{seconds:g} --trace 0, parent and change alternating which "
-                          f"runs first, one BLAS thread")}
+              "command": (f"perfbench/run.py --workload W --seed S --seconds {seconds:g} "
+                          f"--trace 0 for S in {','.join(map(str, args.seeds))}, parent and "
+                          f"change alternating which runs first, one BLAS thread")}
     with tempfile.TemporaryDirectory(prefix="compare-") as tmp:
         parent = Path(tmp) / "parent"
         extract(sha, parent)
         sides = {"parent": parent, "change": ROOT}
         benchmark, env = {}, None
-        for workload in (w["name"] for w in bench_spec["workloads"]):
-            runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    run = bench(sides[side], workload, args.seed, seconds)
-                    runs[side].append(run)
-                    if side == "change" and env is None and run["detail"]:
-                        env = {k: v for k, v in run["detail"]["env"].items()
-                               if k not in ("commit", "seed", "traced")}
-                print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
-                    f"{side} wall_s {runs[side][-1]['metrics'].get('wall_s', {}).get('value')}"
-                    for side in order), file=sys.stderr)
-            benchmark[f"{workload} seed {args.seed}"] = summarize(runs, bench_spec["end_to_end"])
+        for seed in args.seeds:
+            for workload in (w["name"] for w in bench_spec["workloads"]):
+                key = f"{workload} seed {seed}"
+                runs = {"parent": [], "change": []}
+                for i in range(args.pairs):
+                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                    for side in order:
+                        run = bench(sides[side], workload, seed, seconds)
+                        runs[side].append(run)
+                        if side == "change" and env is None and run["detail"]:
+                            env = {k: v for k, v in run["detail"]["env"].items()
+                                   if k not in ("commit", "seed", "traced")}
+                    print(f"{key} pair {i + 1}/{args.pairs}: " + ", ".join(
+                        f"{side} wall_s {runs[side][-1]['metrics'].get('wall_s', {}).get('value')}"
+                        for side in order), file=sys.stderr)
+                benchmark[key] = summarize(runs, bench_spec["end_to_end"])
         result["env"] = env or {"python": platform.python_version(), "nproc": os.cpu_count()}
         result["benchmark"] = benchmark
         for side, path in sides.items():

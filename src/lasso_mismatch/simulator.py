@@ -17,11 +17,11 @@ starting from the Gram matrix the rejected solve formed and its inverse
 through a Cholesky factor, and the exact solution on the corrected pattern
 faces the same gate; FISTA goes on only when both fail.  The iterations
 that find the pattern run their products on a float32 copy of A, and hand
-over to A itself, once and for good, at their first check or when float32
-can take them no further; the exact solves, the search and the gate use A
-in float64, so the returned x is the same as with float64 iterations
-whenever both reach its pattern (mixed-precision iterative refinement:
-Higham 2002, ch. 12; Carson & Higham 2018).  When lambda is at least
+over to A itself, once and for good, at a due exact solve, at max_iter or
+when float32 can take them no further; the exact solves, the search and
+the gate use A in float64, so the returned x is the same as with float64
+iterations whenever both reach its pattern (mixed-precision iterative
+refinement: Higham 2002, ch. 12; Carson & Higham 2018).  When lambda is at least
 ||A^T y||_inf, x = 0 is returned before any iteration.
 
 The Monte Carlo loop runs over trials first, then over lambda: instances do
@@ -474,12 +474,14 @@ def solve_lasso(
     the exact solution on its pattern is tried the same way; the search
     gives up, and FISTA goes on, past m entries or after a few dozen steps.
     Either way the returned x depends only on (A, y, lam, pattern), not on
-    the path to the pattern.  Iterations stop once the relative objective
-    change falls below tol and the KKT residual is within the gate
-    10*tol*lam, floored at 64 ulps of ||A^T y||_inf, below which the
-    residual is rounding, and a NaN residual never passes.  At max_iter (at
-    least 1) the same one check runs, and a larger residual flags the result
-    as non-converged (it is still returned).  Both checks come before a due
+    the path to the pattern.  The KKT gate is 10*tol*lam, floored at 64 ulps
+    of ||A^T y||_inf, below which the residual is rounding, and a NaN
+    residual never passes.  FISTA's own exit is one KKT check of the
+    iterate after an accepted float64 step below its rounding floor, where
+    further steps cannot move x (as when a singular A_S^T A_S leaves no
+    exact solve to certify it), and at max_iter (at least 1).  Iterations
+    stop when it passes; at max_iter a larger residual flags the result as
+    non-converged (it is still returned).  The check comes before a due
     exact solve, so at max_iter an iterate within the gate is returned
     unpolished, and one outside it costs that check's product first; on
     the fig-2 grid and the stress problems neither case arises.
@@ -505,15 +507,16 @@ def solve_lasso(
       - an accepted step below that floor: float32 products cannot resolve
         a smaller one, so further float32 iterations only wander within
         rounding of the optimum of the float32 problem;
-      - a check: a small objective change, a due exact solve, or max_iter.
-    The hand-over comes before the check, so every KKT residual reads
-    r = A x - y in float64 (the exact solves and the search form what they
-    read from A), and FISTA never goes back to float32.  The rule has no
-    constant of its own.  The float32 phase is skipped when ||A||_F, ||y||
-    or their ratio (the scale of x) lies outside the square roots of
-    float32's normal range: within them, A's entries, the iterates and their
-    products stay normal float32 numbers.  A and y of any real dtype are
-    solved as their float64 values.
+      - a due exact solve, or max_iter.
+    A step below the float32 floor hands over without a check, so only a
+    float64 step reaches FISTA's own check, and max_iter hands over before
+    its check: every KKT residual reads A x - y in float64 (the exact solves
+    and the search form what they read from A), and FISTA never goes back
+    to float32.  The rule has no constant of its own.  The float32 phase is
+    skipped when ||A||_F, ||y|| or their ratio (the scale of x) lies outside
+    the square roots of float32's normal range: within them, A's entries,
+    the iterates and their products stay normal float32 numbers.  A and y
+    of any real dtype are solved as their float64 values.
     """
     _check_positive("lam", lam)
     _check_positive("tol", tol)
@@ -528,9 +531,8 @@ class _Problem:
 
     A and y as float64; L0, the largest squared column norm of A, where
     the step constant starts; L_max = ||A||_F^2, its cap; aty = A^T y and
-    aty_max = ||A^T y||_inf; f_zero = (1/2)||y||^2, the objective at x = 0;
-    and float32, whether ||A||_F, ||y|| and their ratio lie within the
-    square roots of float32's normal range.
+    aty_max = ||A^T y||_inf; and float32, whether ||A||_F, ||y|| and their
+    ratio lie within the square roots of float32's normal range.
     """
 
     A: np.ndarray
@@ -539,7 +541,6 @@ class _Problem:
     L_max: float
     aty: np.ndarray
     aty_max: float
-    f_zero: float
     float32: bool
 
 
@@ -563,13 +564,11 @@ def _prepare(A: np.ndarray, y: np.ndarray) -> _Problem:
         raise ValueError(f"||A||_F^2 must be positive, finite and at least the smallest "
                          f"normal float {_NORMAL_MIN!r}, got {L_max!r}")
     aty = A.T @ y
-    f_zero = 0.5 * float(y @ y)
-    norm_a, norm_y = math.sqrt(L_max), math.sqrt(2.0 * f_zero)
+    norm_a, norm_y = math.sqrt(L_max), math.sqrt(float(y @ y))
     return _Problem(
         A=A, y=y,
         # a start below ||A||_2^2 is corrected by backtracking
         L0=float(col_sq.max()), L_max=L_max, aty=aty, aty_max=float(np.abs(aty).max()),
-        f_zero=f_zero,
         float32=all(_F32_LO <= v <= _F32_HI for v in (norm_a, norm_y, norm_y / norm_a)))
 
 
@@ -589,7 +588,6 @@ def _solve(prob: _Problem, lam: float, tol: float, max_iter: int) -> LassoResult
     # the gradient at the zero start
     grad = -aty
     t = 1.0
-    f_prev = prob.f_zero
     signs = np.zeros(n)
     stable = 0
     if prob.float32:
@@ -627,22 +625,21 @@ def _solve(prob: _Problem, lam: float, tol: float, max_iter: int) -> LassoResult
         c = (t - 1.0) / t_new
         w = x_new + c * dx
         Aw = Ax_new + c * (Ax_new - Ax)
-        r = Ax_new - y
-        f = 0.5 * float(r @ r) + lam * float(np.abs(x_new).sum())
-        small_change = abs(f_prev - f) <= tol * max(1.0, abs(f))
         signs_new = np.sign(x_new)
         stable = 0 if (signs_new != signs).any() else stable + 1
-        x, Ax, t, f_prev, signs = x_new, Ax_new, t_new, f, signs_new
+        x, Ax, t, signs = x_new, Ax_new, t_new, signs_new
         finish = stable == _POLISH_AFTER and np.count_nonzero(signs) <= m
-        if P is not A and (dd < dd_floor or small_change or finish or iters == max_iter):
-            # float64 for good, before any check reads r; dropping the copy
+        # decided before the hand-over, so a step below the float32 floor
+        # hands over without a check, and only a float64 step reaches one
+        check = iters == max_iter or (P is A and dd < dd_floor)
+        if P is not A and (dd < dd_floor or finish or iters == max_iter):
+            # float64 for good, before any check reads A x; dropping the copy
             # frees its bytes for the finisher's arrays
             P, floor, float32_iters = A, _STEP_FLOOR, iters
             Ax, Aw = A @ x, A @ w
             matvecs += 2
-            r = Ax - y
-        if small_change or iters == max_iter:
-            kkt = _kkt_residual(A.T @ r, x, lam)
+        if check:
+            kkt = _kkt_residual(A.T @ (Ax - y), x, lam)
             matvecs += 1
             if kkt <= kkt_gate:
                 break

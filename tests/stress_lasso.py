@@ -7,12 +7,14 @@ the KKT gate's floor of 64 ulps of ||A^T y||_inf can lie below the rounding
 of an exact solve, so a few problems stay non-converged.  The script prints
 the non-converged seeds, the total iteration count, the number of
 hand-overs (solves whose float32 iterations gave way to float64 ones before
-the solve ended), the total float32 iterations, and the total products
+the solve ended), the total float32 iterations, the total products
 with A (`matvecs`) and dense factorizations (`exact_solves`), where the cost
-of the exact solves and the active-set search shows.  It exits 1 when a
-problem outside `KNOWN_NONCONVERGED` is non-converged; a known seed that
-converges passes.  The pytest run does not collect it (its name has no
-test_ prefix).  Run from the repository root:
+of the exact solves and the active-set search shows, and how many solves
+end at each exit: x = 0 before any iteration, an exact solve, FISTA's own
+KKT check (after a float64 step at its rounding floor) or max_iter.  It
+exits 1 when a problem outside `KNOWN_NONCONVERGED` is non-converged; a
+known seed that converges passes.  The pytest run does not collect it (its
+name has no test_ prefix).  Run from the repository root:
 
     PYTHONPATH=src python3 tests/stress_lasso.py
 """
@@ -43,6 +45,7 @@ def problem(seed: int) -> tuple[np.ndarray, np.ndarray, float]:
 def main() -> int:
     failed = []
     iters = handovers = float32_iters = matvecs = exact_solves = 0
+    exits = dict.fromkeys(("x = 0", "exact solve", "FISTA's own check", "max_iter"), 0)
     for seed in SEEDS:
         res = solve_lasso(*problem(seed), max_iter=MAX_ITER)
         iters += res.iters
@@ -50,6 +53,14 @@ def main() -> int:
         float32_iters += res.float32_iters
         matvecs += res.matvecs
         exact_solves += res.exact_solves
+        if res.iters == 0:
+            exits["x = 0"] += 1
+        elif res.polished:
+            exits["exact solve"] += 1
+        elif res.iters == MAX_ITER:
+            exits["max_iter"] += 1
+        else:
+            exits["FISTA's own check"] += 1
         if not res.converged:
             failed.append(seed)
     print(f"non-converged: {len(failed)} of {len(SEEDS)} (seeds {failed})")
@@ -57,6 +68,7 @@ def main() -> int:
     print(f"hand-overs from float32 to float64: {handovers} "
           f"(float32 iterations: {float32_iters})")
     print(f"total products with A: {matvecs} (dense factorizations: {exact_solves})")
+    print("exits: " + ", ".join(f"{kind} {count}" for kind, count in exits.items()))
     new = sorted(set(failed) - KNOWN_NONCONVERGED)
     if new:
         print(f"non-converged beyond the known seeds: {new}")

@@ -371,6 +371,27 @@ class TestStepCertification:
         assert np.max(np.abs(res.x_hat - ref)) <= 1e-8
 
 
+    @pytest.mark.parametrize("lam", [0.01, 0.05, 0.2])
+    def test_float64_step_floor_ends_a_solve_no_exact_solve_certifies(self, lam):
+        # column 7 duplicates column 3, so on a pattern holding one of them
+        # A_S^T A_S is singular or nearly so, and neither the exact solve nor
+        # the search certifies it.  FISTA's own exit ends the solve: a
+        # float64 step below its rounding floor runs the KKT check, well
+        # before max_iter (without that check every solve here runs all
+        # 20,000 iterations)
+        rng = np.random.default_rng(3)
+        A = rng.normal(0.0, 1.0, (40, 60)) / math.sqrt(60)
+        A[:, 7] = A[:, 3]
+        x0 = np.zeros(60)
+        x0[[3, 10, 20]] = 1.0
+        y = A @ x0 + 0.05 * rng.normal(0.0, 1.0, 40)
+        res = solve_lasso(A, y, lam)
+        assert res.converged and not res.polished
+        assert res.iters <= 500
+        ref = lasso_objective(A, y, lam, cd_lasso(A, y, lam))
+        assert lasso_objective(A, y, lam, res.x_hat) == pytest.approx(ref, rel=1e-12)
+
+
 class _CountingMatrix(np.ndarray):
     """An array that counts its matrix products; slices and A.T count too."""
 
@@ -429,9 +450,10 @@ class TestSolveCounts:
     @pytest.mark.parametrize("seed, max_iter", [(13, 200), (600, 23)])
     def test_counts_through_a_hand_over_and_a_max_iter_exit(self, seed, max_iter, monkeypatch):
         # stress seed 13 hands over to float64 and then stops at max_iter.
-        # Seed 600's last iteration is a small objective change that hands
-        # over and misses the gate: its one KKT check also serves max_iter,
-        # after the hand-over has formed A x and A w in float64
+        # Seed 600 is still in float32 at max_iter = 23, one iteration before
+        # its pattern's exact solve is due: max_iter hands over, and its one
+        # KKT check, which misses the gate, reads A x formed in float64 at
+        # the hand-over
         calls = []
         kkt_residual = simulator._kkt_residual
 
@@ -825,13 +847,16 @@ class TestFloat32Phase:
         # after 33, 51, 39, 16 and 52 iterations, although their steps hover
         # around the float32 floor without falling below it; the solve and
         # the search fail, and float64 iterations go on to max_iter.  Seed
-        # 600 (27 x 24) hands over at a small objective change after 23,
-        # whose float64 KKT check fails; the next iteration's search
-        # certifies the pattern.  Each ends as float64 iterations alone end.
+        # 600 (27 x 24) hands over at its due exact solve after 24, where
+        # the search certifies the pattern, so no float64 iteration runs.
+        # Each ends as float64 iterations alone end.
         A, y, lam = stress_problem(seed)
         res = solve_lasso(A, y, lam, max_iter=5000)
         ref = self._float64(A, y, lam, max_iter=5000)
-        assert 0 < res.float32_iters < res.iters
+        if seed == 600:
+            assert res.float32_iters == res.iters == 24
+        else:
+            assert 0 < res.float32_iters < res.iters
         assert res.float32_iters <= 64
         assert res.converged == ref.converged
         assert res.converged == (seed == 600)
